@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use emb_bench::gate::{check, extract_metrics, parse_json, BaselineMetric, GateCheck};
+use emb_bench::gate::{check, read_baseline, BaselineMetric, GateCheck};
 use emb_bench::{mesh, torus};
 use embd::{Client, PlanRegistry};
 use embeddings::auto::embed;
@@ -308,7 +308,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
-        let metrics = match parse_json(&text).and_then(|json| extract_metrics(&json)) {
+        let metrics = match read_baseline(&text) {
             Ok(metrics) => metrics,
             Err(error) => {
                 eprintln!("benchgate: {path}: {error}");

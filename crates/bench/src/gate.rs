@@ -1,77 +1,19 @@
-//! The bench-regression gate: parse checked-in `BENCH_*.json` baselines and
+//! The bench-regression gate: read checked-in `BENCH_*.json` baselines and
 //! compare freshly measured throughput against them.
 //!
-//! The workspace is offline (no serde), so this module carries a minimal
-//! recursive-descent JSON parser — just enough for the baseline files the
-//! repo checks in — plus the baseline-extraction and ratio-check logic the
-//! `benchgate` binary drives in CI. A measurement passes when it reaches at
-//! least `min_ratio` of its baseline (the CI default, 0.7, fails a >30%
-//! throughput regression).
+//! Baselines are parsed by the workspace's one JSON codec
+//! ([`embeddings::json`]); this module holds the baseline extraction and the
+//! ratio check the `benchgate` binary drives in CI. A measurement passes
+//! when it reaches at least `min_ratio` of its baseline (the CI default,
+//! 0.7, fails a >30% throughput regression).
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`; baseline magnitudes fit easily).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object. `BTreeMap` keeps lookups simple; baseline files never
-    /// rely on duplicate keys.
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(members) => members.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
+use embeddings::json::{self, Json, ParseError};
 
 /// Why a baseline file could not be used.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GateError {
     /// The file is not valid JSON.
-    Parse {
-        /// Byte offset of the failure.
-        offset: usize,
-        /// What went wrong.
-        message: String,
-    },
+    Parse(ParseError),
     /// The JSON parsed but a required field is missing or mistyped.
     Schema {
         /// A dotted path describing the missing field.
@@ -87,9 +29,7 @@ pub enum GateError {
 impl core::fmt::Display for GateError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            GateError::Parse { offset, message } => {
-                write!(f, "invalid JSON at byte {offset}: {message}")
-            }
+            GateError::Parse(error) => error.fmt(f),
             GateError::Schema { field } => {
                 write!(f, "baseline is missing required field {field:?}")
             }
@@ -102,252 +42,9 @@ impl core::fmt::Display for GateError {
 
 impl std::error::Error for GateError {}
 
-/// Parses a JSON document (the subset the baseline files use: objects,
-/// arrays, strings with `\"`-style escapes, numbers, booleans, null).
-pub fn parse_json(text: &str) -> Result<Json, GateError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_whitespace(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(GateError::Parse {
-            offset: pos,
-            message: "trailing characters after the document".into(),
-        });
-    }
-    Ok(value)
-}
-
-fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), GateError> {
-    if *pos < bytes.len() && bytes[*pos] == byte {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(GateError::Parse {
-            offset: *pos,
-            message: format!("expected {:?}", byte as char),
-        })
-    }
-}
-
-/// Decodes the four hex digits of a `\uXXXX` escape whose `u` is at `*pos`,
-/// leaving `*pos` on the last digit (the caller's loop advances past it).
-fn hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, GateError> {
-    let hex = bytes.get(*pos + 1..*pos + 5).ok_or(GateError::Parse {
-        offset: *pos,
-        message: "truncated \\u escape".into(),
-    })?;
-    if !hex.iter().all(u8::is_ascii_hexdigit) {
-        return Err(GateError::Parse {
-            offset: *pos,
-            message: "invalid \\u escape".into(),
-        });
-    }
-    let code = u32::from_str_radix(std::str::from_utf8(hex).expect("hex digits are ASCII"), 16)
-        .expect("four hex digits fit in u32");
-    *pos += 4;
-    Ok(code)
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, GateError> {
-    skip_whitespace(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(GateError::Parse {
-            offset: *pos,
-            message: "unexpected end of input".into(),
-        }),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, GateError> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(GateError::Parse {
-            offset: *pos,
-            message: format!("expected {literal:?}"),
-        })
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, GateError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number characters");
-    text.parse::<f64>()
-        .map(Json::Number)
-        .map_err(|_| GateError::Parse {
-            offset: start,
-            message: format!("invalid number {text:?}"),
-        })
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, GateError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|_| GateError::Parse {
-                    offset: *pos,
-                    message: "invalid UTF-8 in string".into(),
-                });
-            }
-            b'\\' => {
-                *pos += 1;
-                let escaped = bytes.get(*pos).ok_or(GateError::Parse {
-                    offset: *pos,
-                    message: "unterminated escape".into(),
-                })?;
-                match escaped {
-                    b'"' | b'\\' | b'/' => out.push(*escaped),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'u' => {
-                        let first = hex4(bytes, pos)?;
-                        let code = match first {
-                            0xD800..=0xDBFF => {
-                                // A high surrogate encodes an astral code
-                                // point together with an immediately
-                                // following escaped low surrogate.
-                                if bytes.get(*pos + 1) != Some(&b'\\')
-                                    || bytes.get(*pos + 2) != Some(&b'u')
-                                {
-                                    return Err(GateError::Parse {
-                                        offset: *pos,
-                                        message: "lone high surrogate in \\u escape".into(),
-                                    });
-                                }
-                                *pos += 2;
-                                let second = hex4(bytes, pos)?;
-                                if !(0xDC00..=0xDFFF).contains(&second) {
-                                    return Err(GateError::Parse {
-                                        offset: *pos,
-                                        message: format!(
-                                            "high surrogate {first:04x} followed by \
-                                             non-surrogate {second:04x}"
-                                        ),
-                                    });
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            }
-                            0xDC00..=0xDFFF => {
-                                return Err(GateError::Parse {
-                                    offset: *pos,
-                                    message: "lone low surrogate in \\u escape".into(),
-                                });
-                            }
-                            code => code,
-                        };
-                        let ch = char::from_u32(code).ok_or(GateError::Parse {
-                            offset: *pos,
-                            message: "non-scalar \\u escape".into(),
-                        })?;
-                        let mut buffer = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buffer).as_bytes());
-                    }
-                    other => {
-                        return Err(GateError::Parse {
-                            offset: *pos,
-                            message: format!("unsupported escape \\{}", *other as char),
-                        });
-                    }
-                }
-                *pos += 1;
-            }
-            _ => {
-                out.push(bytes[*pos]);
-                *pos += 1;
-            }
-        }
-    }
-    Err(GateError::Parse {
-        offset: *pos,
-        message: "unterminated string".into(),
-    })
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, GateError> {
-    expect(bytes, pos, b'{')?;
-    let mut members = BTreeMap::new();
-    skip_whitespace(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(members));
-    }
-    loop {
-        skip_whitespace(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_whitespace(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.insert(key, value);
-        skip_whitespace(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(members));
-            }
-            _ => {
-                return Err(GateError::Parse {
-                    offset: *pos,
-                    message: "expected ',' or '}' in object".into(),
-                });
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, GateError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_whitespace(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_whitespace(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => {
-                return Err(GateError::Parse {
-                    offset: *pos,
-                    message: "expected ',' or ']' in array".into(),
-                });
-            }
-        }
+impl From<ParseError> for GateError {
+    fn from(error: ParseError) -> Self {
+        GateError::Parse(error)
     }
 }
 
@@ -465,6 +162,16 @@ pub fn extract_metrics(root: &Json) -> Result<Vec<BaselineMetric>, GateError> {
     }
 }
 
+/// Parses one baseline file's text and extracts its gated metrics.
+///
+/// # Errors
+///
+/// [`GateError::Parse`] for malformed JSON, otherwise as
+/// [`extract_metrics`].
+pub fn read_baseline(text: &str) -> Result<Vec<BaselineMetric>, GateError> {
+    extract_metrics(&json::parse(text)?)
+}
+
 /// The verdict on one gated metric.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GateCheck {
@@ -499,33 +206,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars_arrays_and_nesting() {
-        let doc = r#"{"a": 1.5, "b": [true, false, null, "x\n\"y\""], "c": {"d": -2e3}}"#;
-        let json = parse_json(doc).unwrap();
-        assert_eq!(json.get("a").unwrap().as_f64(), Some(1.5));
-        let items = json.get("b").unwrap().as_array().unwrap();
-        assert_eq!(items[0], Json::Bool(true));
-        assert_eq!(items[2], Json::Null);
-        assert_eq!(items[3].as_str(), Some("x\n\"y\""));
-        assert_eq!(
-            json.get("c").unwrap().get("d").unwrap().as_f64(),
-            Some(-2000.0)
-        );
-    }
-
-    #[test]
     fn unicode_escapes_decode_to_utf8() {
         // BMP escapes: µ (two UTF-8 bytes) and ✓ (three).
         let doc = r#"{"unit": "\u00b5s", "mark": "\u2713"}"#;
-        let json = parse_json(doc).unwrap();
+        let json = json::parse(doc).unwrap();
         assert_eq!(json.get("unit").unwrap().as_str(), Some("µs"));
         assert_eq!(json.get("mark").unwrap().as_str(), Some("✓"));
         // Astral code points arrive as surrogate pairs (RFC 8259 §7).
         let doc = r#"{"emoji": "\ud83d\ude00"}"#;
-        let json = parse_json(doc).unwrap();
+        let json = json::parse(doc).unwrap();
         assert_eq!(json.get("emoji").unwrap().as_str(), Some("😀"));
         // Escaped and raw spellings agree.
-        let json = parse_json(r#"{"raw": "µ✓😀", "esc": "\u00b5\u2713\ud83d\ude00"}"#).unwrap();
+        let json = json::parse(r#"{"raw": "µ✓😀", "esc": "\u00b5\u2713\ud83d\ude00"}"#).unwrap();
         assert_eq!(json.get("raw"), json.get("esc"));
     }
 
@@ -540,7 +232,7 @@ mod tests {
             r#"{"s": "\ud8"}"#,    // truncated
         ] {
             assert!(
-                matches!(parse_json(bad), Err(GateError::Parse { .. })),
+                matches!(read_baseline(bad), Err(GateError::Parse(_))),
                 "{bad}"
             );
         }
@@ -557,7 +249,7 @@ mod tests {
             "\"open",
         ] {
             assert!(
-                matches!(parse_json(bad), Err(GateError::Parse { .. })),
+                matches!(read_baseline(bad), Err(GateError::Parse(_))),
                 "{bad}"
             );
         }
@@ -575,8 +267,7 @@ mod tests {
         ] {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
             let text = std::fs::read_to_string(&path).expect(file);
-            let json = parse_json(&text).expect(file);
-            let metrics = extract_metrics(&json).expect(file);
+            let metrics = read_baseline(&text).expect(file);
             assert!(!metrics.is_empty(), "{file}");
             assert!(metrics.iter().all(|m| m.throughput > 0.0), "{file}");
         }
@@ -588,7 +279,7 @@ mod tests {
             "benchmark": "explab_throughput",
             "summary": {"trials_per_second_single_worker": 24748}
         }"#;
-        let metrics = extract_metrics(&parse_json(doc).unwrap()).unwrap();
+        let metrics = read_baseline(doc).unwrap();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].metric, "trials_per_s");
         assert_eq!(metrics[0].throughput, 24748.0);
@@ -597,7 +288,7 @@ mod tests {
             "benchmark": "shard_scaling",
             "summary": {"sharded_moves_per_second": 96795}
         }"#;
-        let metrics = extract_metrics(&parse_json(shards).unwrap()).unwrap();
+        let metrics = read_baseline(shards).unwrap();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].metric, "sharded_moves_per_s");
         assert_eq!(metrics[0].throughput, 96795.0);
@@ -610,7 +301,7 @@ mod tests {
                 {"group": "soa_codec", "decode_range_melem_per_s": 400.0}
             ]
         }"#;
-        let metrics = extract_metrics(&parse_json(pipeline).unwrap()).unwrap();
+        let metrics = read_baseline(pipeline).unwrap();
         assert_eq!(metrics.len(), 3);
         assert_eq!(metrics[2].metric, "soa_codec_melem_per_s");
         assert_eq!(metrics[2].throughput, 400.0);
@@ -619,7 +310,7 @@ mod tests {
             "benchmark": "chaos_routing",
             "summary": {"routed_msgs_per_second": 120000}
         }"#;
-        let metrics = extract_metrics(&parse_json(chaos).unwrap()).unwrap();
+        let metrics = read_baseline(chaos).unwrap();
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].metric, "chaos_routed_msgs_per_s");
         assert_eq!(metrics[0].throughput, 120000.0);
@@ -632,7 +323,7 @@ mod tests {
                 "kcycle_moves_per_second": 60000
             }
         }"#;
-        let metrics = extract_metrics(&parse_json(optim).unwrap()).unwrap();
+        let metrics = read_baseline(optim).unwrap();
         assert_eq!(metrics.len(), 3);
         assert_eq!(metrics[0].metric, "moves_per_s");
         assert_eq!(metrics[1].metric, "wirelength_moves_per_s");
@@ -642,12 +333,12 @@ mod tests {
 
         let unknown = r#"{"benchmark": "mystery"}"#;
         assert!(matches!(
-            extract_metrics(&parse_json(unknown).unwrap()),
+            read_baseline(unknown),
             Err(GateError::UnknownBenchmark { .. })
         ));
         let missing = r#"{"benchmark": "optim_throughput", "summary": {}}"#;
         assert!(matches!(
-            extract_metrics(&parse_json(missing).unwrap()),
+            read_baseline(missing),
             Err(GateError::Schema { .. })
         ));
     }

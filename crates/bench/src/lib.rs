@@ -28,9 +28,8 @@
 //!
 //! * [`compat`] — the pre-batching per-call evaluation paths, kept so the
 //!   pipeline benches can report batched-vs-per-call speedups honestly;
-//! * [`gate`] — a minimal offline JSON parser (the workspace vendors no
-//!   serde) plus the baseline-extraction and ratio-check logic `benchgate`
-//!   drives.
+//! * [`gate`] — the baseline-extraction and ratio-check logic `benchgate`
+//!   drives (baselines parse with [`embeddings::json`]).
 //!
 //! Everything here measures; nothing here is measured. The crate is not
 //! published and exports no stability guarantees — benches and gates may

@@ -38,6 +38,8 @@
 //! * [`optim`] — seeded local-search / simulated-annealing refinement of any
 //!   embedding's placement table under pluggable, incrementally-evaluated
 //!   objectives (max congestion, average dilation, weighted wirelength, …).
+//! * [`json`] — the workspace's one JSON codec: string escape and decoder,
+//!   record writer, and a depth-capped value parser.
 //! * [`plan`] — Plan-as-value: serializable embedding descriptions (graph
 //!   pair, construction, dilation, optional explicit table) with a one-line
 //!   text format, rebuilt into live embeddings by [`Plan::to_embedding`].
@@ -71,6 +73,7 @@ pub mod exhaustive;
 pub mod expansion;
 pub mod general_reduction;
 pub mod increase;
+pub mod json;
 pub mod lower_bound;
 pub mod metrics;
 pub mod optim;
@@ -103,8 +106,8 @@ pub mod prelude {
     pub use crate::metrics::EmbeddingMetrics;
     pub use crate::optim::parallel::{optimize_sharded, ShardedConfig, ShardedOutcome};
     pub use crate::optim::{
-        CongestionObjective, Cost, DilationObjective, Objective, OptimOutcome, OptimReport,
-        Optimizer, OptimizerConfig, WirelengthObjective,
+        CongestionObjective, Cost, Objective, OptimOutcome, OptimReport, Optimizer,
+        OptimizerConfig, WirelengthObjective,
     };
     pub use crate::plan::{format_grid_spec, parse_grid_spec, Plan, PlanError};
     pub use crate::reduction::embed_simple_reduction;

@@ -2,27 +2,27 @@
 //! placement tables under pluggable, incrementally-evaluated objectives.
 //!
 //! The paper's constructions carry worst-case dilation guarantees, but a
-//! measured objective — the congestion of the busiest link, the average
-//! dilation, the weighted wirelength, or a simulated makespan — often leaves
+//! measured objective — the congestion of the busiest link, the
+//! (weighted) wirelength, or a simulated makespan — often leaves
 //! headroom below the analytic bound. This module closes that gap the way
 //! wirelength-minimizing embedders do: start from any [`Embedding`]
 //! (paper-constructive or random), materialize its placement table, and
 //! refine the table with permutation moves.
 //!
-//! Four objectives ship with the repo — see the "Objective catalog" section
+//! Three objectives ship with the repo — see the "Objective catalog" section
 //! of ARCHITECTURE.md for the state/delta-cost/invariant summary of each:
 //!
 //! | objective | primary cost | tie-breaker |
 //! |---|---|---|
 //! | [`CongestionObjective`] | max link congestion (DOR) | total routed path length |
-//! | [`DilationObjective`] | total host distance over guest edges | max per-edge distance |
 //! | [`WirelengthObjective`] | **weighted** total route length | max per-edge distance |
 //! | `netsim::optimize::MakespanObjective` | simulated makespan | total routed path length |
 //!
-//! The unit-weight wirelength objective doubles as the annealing target for
-//! Tang's exact hypercube → torus minimum-wirelength bound
-//! ([`crate::lower_bound::wirelength_lower_bound`]), the repo's first
-//! cross-paper result (EXPERIMENTS.md Table 11).
+//! The unit-weight wirelength is the total host distance over guest edges,
+//! so minimizing it minimizes the paper's average dilation. It doubles as
+//! the annealing target for Tang's exact hypercube → torus
+//! minimum-wirelength bound ([`crate::lower_bound::wirelength_lower_bound`]),
+//! the repo's first cross-paper result (EXPERIMENTS.md Table 11).
 //!
 //! # Architecture
 //!
@@ -144,7 +144,7 @@ impl Cost {
 /// sequence of `apply_swap` calls, `rebuild` on the same table must return
 /// the same cost the incremental path reported.
 pub trait Objective {
-    /// The objective's name, used in reports (`"congestion"`, `"dilation"`,
+    /// The objective's name, used in reports (`"congestion"`,
     /// `"wirelength"`, `"makespan"`).
     fn name(&self) -> &'static str;
 
@@ -169,7 +169,7 @@ pub trait Objective {
     ///
     /// The default implementation applies one [`Objective::apply_swap`] at
     /// a time, which is right for objectives whose evaluation is itself
-    /// incremental (congestion, dilation). Objectives that end every update
+    /// incremental (congestion, wirelength). Objectives that end every update
     /// with an expensive global phase — the makespan objective re-arbitrates
     /// the whole schedule — override this to update per-swap state for all
     /// transpositions but pay the global phase once.
@@ -235,6 +235,22 @@ impl MaxTracker {
         }
     }
 
+    /// Records a new slot holding value `v`: one slot walking `0 → v`, so
+    /// the intermediate counts cancel and only `v` stays tracked.
+    fn insert(&mut self, v: u64) {
+        for from in 0..v {
+            self.increment(from);
+        }
+    }
+
+    /// Forgets a slot holding value `v` (the inverse of
+    /// [`MaxTracker::insert`]).
+    fn remove(&mut self, v: u64) {
+        for from in (1..=v).rev() {
+            self.decrement(from);
+        }
+    }
+
     /// Records a slot moving from value `from` to value `from - 1`.
     fn decrement(&mut self, from: u64) {
         debug_assert!(from > 0, "cannot decrement an empty slot");
@@ -248,18 +264,22 @@ impl MaxTracker {
     }
 }
 
-/// Appends every guest edge incident to node `x` to `out`, each in the
-/// *canonical orientation* of [`Grid::edges`] (the enumeration behind the
-/// full congestion sweep): the tail is the endpoint whose coordinate steps
-/// `+1` along the edge's dimension, and torus wrap edges run from the
-/// highest coordinate back to 0. Routing dimension-ordered paths is
-/// orientation-sensitive, so incremental updates must route each edge in
-/// the same direction the full sweep did. One entry per incident edge —
-/// length-2 torus dimensions contribute a single edge. The scratch-vector
-/// pattern keeps swap evaluation allocation-free after warm-up.
-fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
+/// Appends every guest edge incident to node `x` to `out` as
+/// `(tail, head, link)`, each in the *canonical orientation* of
+/// [`Grid::edges`] (the enumeration behind the full congestion sweep): the
+/// tail is the endpoint whose coordinate steps `+1` along the edge's
+/// dimension, and torus wrap edges run from the highest coordinate back to
+/// 0. `link` is the edge's dense slot [`Grid::link_index`]`(tail, dim)`.
+/// Routing dimension-ordered paths is orientation-sensitive, so incremental
+/// updates must route each edge in the same direction the full sweep did.
+/// One entry per incident edge — length-2 torus dimensions contribute a
+/// single edge. The scratch-vector pattern keeps swap evaluation
+/// allocation-free after warm-up.
+fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64, u64)>) {
     let shape = guest.shape();
     let coord = guest.coord(x).expect("node in range");
+    let mut push =
+        |tail: u64, head: u64, j: usize| out.push((tail, head, guest.link_index(tail, j)));
     for j in 0..shape.dim() {
         let l = shape.radix(j);
         if l < 2 {
@@ -271,31 +291,51 @@ fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
             if l == 2 {
                 // One physical edge, enumerated from the coordinate-0 end.
                 if i == 0 {
-                    out.push((x, x + w));
+                    push(x, x + w, j);
                 } else {
-                    out.push((x - w, x));
+                    push(x - w, x, j);
                 }
                 continue;
             }
             // Forward edge (x is the tail; wraps at the top coordinate).
             if i + 1 == l {
-                out.push((x, x - (l as u64 - 1) * w));
+                push(x, x - (l as u64 - 1) * w, j);
             } else {
-                out.push((x, x + w));
+                push(x, x + w, j);
             }
             // Backward edge (the predecessor is the tail; the predecessor
             // of coordinate 0 is the wrap edge's top end).
             if i == 0 {
-                out.push((x + (l as u64 - 1) * w, x));
+                push(x + (l as u64 - 1) * w, x, j);
             } else {
-                out.push((x - w, x));
+                push(x - w, x, j);
             }
         } else {
             if i + 1 < l {
-                out.push((x, x + w));
+                push(x, x + w, j);
             }
             if i > 0 {
-                out.push((x - w, x));
+                push(x - w, x, j);
+            }
+        }
+    }
+}
+
+/// Calls `visit(tail, head, link)` once for every guest edge, in the order
+/// and orientation of [`Grid::edges`], with the edge's
+/// [`Grid::link_index`] slot: each node's incident edges, keeping those it
+/// is the tail of.
+fn for_each_guest_edge(
+    guest: &Grid,
+    scratch: &mut Vec<(u64, u64, u64)>,
+    mut visit: impl FnMut(u64, u64, u64),
+) {
+    for x in 0..guest.size() {
+        scratch.clear();
+        incident_edges_into(guest, x, scratch);
+        for &(tail, head, link) in scratch.iter() {
+            if tail == x {
+                visit(tail, head, link);
             }
         }
     }
@@ -303,11 +343,11 @@ fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
 
 /// Visits every guest edge affected by the transposition of the images of
 /// guest nodes `a` and `b`, calling
-/// `update(tail, head, pre_tail, pre_head, post_tail, post_head)` once per
-/// edge with the edge's *guest* endpoints followed by its endpoint *images*
-/// before and after the swap, all in the canonical tail → head orientation
-/// of [`Grid::edges`]. The guest endpoints are what weighted objectives key
-/// per-edge weights on — they are invariant under the swap. `table` is the
+/// `update(link, pre_tail, pre_head, post_tail, post_head)` once per edge
+/// with the edge's guest [`Grid::link_index`] slot followed by its endpoint
+/// *images* before and after the swap, all in the canonical tail → head
+/// orientation of [`Grid::edges`]. The slot is what weighted objectives key
+/// per-edge weights on — it is invariant under the swap. `table` is the
 /// table after the swap; `scratch` is a caller-owned buffer so the walk is
 /// allocation-free after warm-up.
 ///
@@ -317,11 +357,11 @@ fn incident_edges_into(guest: &Grid, x: u64, out: &mut Vec<(u64, u64)>) {
 /// the `b` pivot handles it). Every incremental objective defers to it.
 fn for_each_affected_edge(
     guest: &Grid,
-    scratch: &mut Vec<(u64, u64)>,
+    scratch: &mut Vec<(u64, u64, u64)>,
     table: &[u64],
     a: u64,
     b: u64,
-    mut update: impl FnMut(u64, u64, u64, u64, u64, u64),
+    mut update: impl FnMut(u64, u64, u64, u64, u64),
 ) {
     // The images of `a` and `b` were exchanged, everything else is
     // unchanged, so the pre-swap image of `a` is `table[b]` and vice versa.
@@ -338,14 +378,13 @@ fn for_each_affected_edge(
     for (node, skip_peer) in [(a, Some(b)), (b, None::<u64>)] {
         scratch.clear();
         incident_edges_into(guest, node, scratch);
-        for &(tail, head) in scratch.iter() {
+        for &(tail, head, link) in scratch.iter() {
             let other = if tail == node { head } else { tail };
             if Some(other) == skip_peer {
                 continue;
             }
             update(
-                tail,
-                head,
+                link,
                 pre(tail),
                 pre(head),
                 table[tail as usize],
@@ -374,7 +413,7 @@ pub struct CongestionObjective {
     current: Coord,
     target: Coord,
     /// Scratch incident-edge buffer reused by every swap evaluation.
-    scratch: Vec<(u64, u64)>,
+    scratch: Vec<(u64, u64, u64)>,
     /// Scratch (pre-from, pre-to, post-from, post-to) update list.
     updates: Vec<(u64, u64, u64, u64)>,
 }
@@ -487,7 +526,7 @@ impl Objective for CongestionObjective {
             table,
             a,
             b,
-            |_, _, pf, pt, nf, nt| {
+            |_, pf, pt, nf, nt| {
                 updates.push((pf, pt, nf, nt));
             },
         );
@@ -503,142 +542,26 @@ impl Objective for CongestionObjective {
     }
 }
 
-/// Minimize the total routed path length (equivalently the average dilation,
-/// whose denominator — the guest edge count — is constant), with the maximum
-/// per-edge dilation as the tie-breaker.
-///
-/// No per-edge state is needed: the pre-swap distance of every affected edge
-/// is recomputed from the pre-swap images, so a swap costs `O(degree)`
-/// distance evaluations.
-pub struct DilationObjective {
-    guest: Grid,
-    host: Grid,
-    tracker: MaxTracker,
-    total: u64,
-    /// Scratch incident-edge buffer reused by every swap evaluation.
-    scratch: Vec<(u64, u64)>,
-    /// Scratch (pre-from, pre-to, post-from, post-to) update list.
-    updates: Vec<(u64, u64, u64, u64)>,
-}
-
-impl DilationObjective {
-    /// Creates the objective for a guest/host pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size.
-    pub fn new(guest: &Grid, host: &Grid) -> Result<Self> {
-        if guest.size() != host.size() {
-            return Err(EmbeddingError::SizeMismatch {
-                guest: guest.size(),
-                host: host.size(),
-            });
-        }
-        Ok(DilationObjective {
-            guest: guest.clone(),
-            host: host.clone(),
-            tracker: MaxTracker::default(),
-            total: 0,
-            scratch: Vec::new(),
-            updates: Vec::new(),
-        })
-    }
-
-    fn distance(&self, from: u64, to: u64) -> u64 {
-        self.host
-            .distance_index(from, to)
-            .expect("table entries are host nodes")
-    }
-
-    fn add_edge(&mut self, d: u64) {
-        // increment(v) moves one slot from v to v+1, so the sequence below
-        // is exactly one slot walking 0 → d: the intermediate counts
-        // cancel and only the final distance remains tracked.
-        for v in 0..d {
-            self.tracker.increment(v);
-        }
-        self.total += d;
-    }
-
-    fn remove_edge(&mut self, d: u64) {
-        for v in (1..=d).rev() {
-            self.tracker.decrement(v);
-        }
-        self.total -= d;
-    }
-
-    fn cost(&self) -> Cost {
-        Cost {
-            primary: self.total,
-            secondary: self.tracker.max,
-        }
-    }
-}
-
-impl Objective for DilationObjective {
-    fn name(&self) -> &'static str {
-        "dilation"
-    }
-
-    fn rebuild(&mut self, table: &[u64]) -> Cost {
-        self.tracker.clear();
-        self.total = 0;
-        let guest = self.guest.clone();
-        for (x, y) in guest.edges() {
-            let d = self.distance(table[x as usize], table[y as usize]);
-            self.add_edge(d);
-        }
-        self.cost()
-    }
-
-    fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
-        if a == b {
-            return self.cost();
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut updates = std::mem::take(&mut self.updates);
-        updates.clear();
-        for_each_affected_edge(
-            &self.guest,
-            &mut scratch,
-            table,
-            a,
-            b,
-            |_, _, pf, pt, nf, nt| {
-                updates.push((pf, pt, nf, nt));
-            },
-        );
-        for &(pre_from, pre_to, post_from, post_to) in &updates {
-            let old = self.distance(pre_from, pre_to);
-            let new = self.distance(post_from, post_to);
-            self.remove_edge(old);
-            self.add_edge(new);
-        }
-        self.scratch = scratch;
-        self.updates = updates;
-        self.cost()
-    }
-}
-
 /// Minimize the **wirelength** — the sum of weighted route lengths over
 /// guest edges — with the maximum per-edge host distance as the tie-breaker.
 ///
 /// Under dimension-ordered routing every route is a shortest path, so each
-/// edge's route length equals the host distance of its endpoint images and
-/// the unit-weight wirelength coincides with [`DilationObjective`]'s total.
-/// The objective earns its keep in two ways: per-guest-edge *weights*
-/// ([`WirelengthObjective::with_weights`]) let hot guest edges count more
-/// than cold ones, and the unit-weight total is exactly the quantity Tang's
-/// closed form bounds from below
+/// edge's route length equals the host distance of its endpoint images.
+/// With unit weights ([`WirelengthObjective::new`]) the primary cost is
+/// therefore the total host distance over guest edges: the paper's average
+/// dilation times the (constant) guest edge count, and exactly the quantity
+/// Tang's closed form bounds from below
 /// ([`crate::lower_bound::wirelength_lower_bound`]) — the repo's second
 /// analytic optimization target after the paper's dilation predictions.
+/// Per-guest-edge *weights* ([`WirelengthObjective::with_weights`]) let hot
+/// guest edges count more than cold ones.
 ///
 /// State: the weighted total plus a `MaxTracker` histogram of *unweighted*
 /// per-edge distances (tracking weighted contributions would size the
 /// histogram by the largest weight). A swap re-measures only the
 /// `O(degree)` guest edges incident to the swapped nodes, via the same
-/// affected-edge walk the other incremental objectives use; the guest
-/// endpoints it reports key the weight lookup.
+/// affected-edge walk the other incremental objectives use; the guest link
+/// slot it reports indexes the weight vector.
 ///
 /// # Example
 ///
@@ -668,18 +591,13 @@ impl Objective for DilationObjective {
 pub struct WirelengthObjective {
     guest: Grid,
     host: Grid,
-    /// Per-guest-edge weights keyed by the canonical `(tail, head)`
-    /// orientation of [`Grid::edges`]; `None` means every edge weighs 1 and
-    /// skips the lookup entirely.
-    weights: Option<std::collections::HashMap<(u64, u64), u64>>,
+    /// Per-guest-edge weights indexed by the edge's canonical link slot
+    /// [`Grid::link_index`]`(tail, dim)`; empty means every edge weighs 1.
+    weights: Vec<u64>,
     tracker: MaxTracker,
     total: u64,
     /// Scratch incident-edge buffer reused by every swap evaluation.
-    scratch: Vec<(u64, u64)>,
-    /// Scratch (tail, head, pre-from, pre-to, post-from, post-to) update
-    /// list — guest endpoints first, so the weight lookup happens outside
-    /// the affected-edge walk's borrow of the scratch buffer.
-    updates: Vec<(u64, u64, u64, u64, u64, u64)>,
+    scratch: Vec<(u64, u64, u64)>,
 }
 
 impl WirelengthObjective {
@@ -691,7 +609,20 @@ impl WirelengthObjective {
     ///
     /// Returns [`EmbeddingError::SizeMismatch`] if the graphs differ in size.
     pub fn new(guest: &Grid, host: &Grid) -> Result<Self> {
-        Self::build(guest, host, None)
+        if guest.size() != host.size() {
+            return Err(EmbeddingError::SizeMismatch {
+                guest: guest.size(),
+                host: host.size(),
+            });
+        }
+        Ok(WirelengthObjective {
+            guest: guest.clone(),
+            host: host.clone(),
+            weights: Vec::new(),
+            tracker: MaxTracker::default(),
+            total: 0,
+            scratch: Vec::new(),
+        })
     }
 
     /// Creates the objective with a per-guest-edge weight function, evaluated
@@ -708,60 +639,13 @@ impl WirelengthObjective {
         host: &Grid,
         mut weight: impl FnMut(u64, u64) -> u64,
     ) -> Result<Self> {
-        let weights = guest
-            .edges()
-            .map(|(tail, head)| ((tail, head), weight(tail, head)))
-            .collect();
-        Self::build(guest, host, Some(weights))
-    }
-
-    fn build(
-        guest: &Grid,
-        host: &Grid,
-        weights: Option<std::collections::HashMap<(u64, u64), u64>>,
-    ) -> Result<Self> {
-        if guest.size() != host.size() {
-            return Err(EmbeddingError::SizeMismatch {
-                guest: guest.size(),
-                host: host.size(),
-            });
-        }
-        Ok(WirelengthObjective {
-            guest: guest.clone(),
-            host: host.clone(),
-            weights,
-            tracker: MaxTracker::default(),
-            total: 0,
-            scratch: Vec::new(),
-            updates: Vec::new(),
-        })
-    }
-
-    fn weight(&self, tail: u64, head: u64) -> u64 {
-        match &self.weights {
-            None => 1,
-            Some(map) => *map.get(&(tail, head)).unwrap_or(&1),
-        }
-    }
-
-    fn distance(&self, from: u64, to: u64) -> u64 {
-        self.host
-            .distance_index(from, to)
-            .expect("table entries are host nodes")
-    }
-
-    fn add_edge(&mut self, weight: u64, d: u64) {
-        for v in 0..d {
-            self.tracker.increment(v);
-        }
-        self.total += weight * d;
-    }
-
-    fn remove_edge(&mut self, weight: u64, d: u64) {
-        for v in (1..=d).rev() {
-            self.tracker.decrement(v);
-        }
-        self.total -= weight * d;
+        let mut objective = Self::new(guest, host)?;
+        let mut weights = vec![0; guest.link_count() as usize];
+        for_each_guest_edge(guest, &mut objective.scratch, |tail, head, link| {
+            weights[link as usize] = weight(tail, head);
+        });
+        objective.weights = weights;
+        Ok(objective)
     }
 
     fn cost(&self) -> Cost {
@@ -772,20 +656,39 @@ impl WirelengthObjective {
     }
 }
 
+/// The weight of the guest edge in slot `link`: an empty weight vector
+/// means unit weights.
+fn link_weight(weights: &[u64], link: u64) -> u64 {
+    if weights.is_empty() {
+        1
+    } else {
+        weights[link as usize]
+    }
+}
+
 impl Objective for WirelengthObjective {
     fn name(&self) -> &'static str {
         "wirelength"
     }
 
     fn rebuild(&mut self, table: &[u64]) -> Cost {
-        self.tracker.clear();
-        self.total = 0;
-        let guest = self.guest.clone();
-        for (x, y) in guest.edges() {
-            let w = self.weight(x, y);
-            let d = self.distance(table[x as usize], table[y as usize]);
-            self.add_edge(w, d);
-        }
+        let WirelengthObjective {
+            guest,
+            host,
+            weights,
+            tracker,
+            total,
+            scratch,
+        } = self;
+        tracker.clear();
+        *total = 0;
+        for_each_guest_edge(guest, scratch, |tail, head, link| {
+            let d = host
+                .distance_index(table[tail as usize], table[head as usize])
+                .expect("table entries are host nodes");
+            tracker.insert(d);
+            *total += link_weight(weights, link) * d;
+        });
         self.cost()
     }
 
@@ -793,28 +696,26 @@ impl Objective for WirelengthObjective {
         if a == b {
             return self.cost();
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut updates = std::mem::take(&mut self.updates);
-        updates.clear();
-        for_each_affected_edge(
-            &self.guest,
-            &mut scratch,
-            table,
-            a,
-            b,
-            |t, h, pf, pt, nf, nt| {
-                updates.push((t, h, pf, pt, nf, nt));
-            },
-        );
-        self.scratch = scratch;
-        for &(tail, head, pre_from, pre_to, post_from, post_to) in &updates {
-            let w = self.weight(tail, head);
-            let old = self.distance(pre_from, pre_to);
-            let new = self.distance(post_from, post_to);
-            self.remove_edge(w, old);
-            self.add_edge(w, new);
-        }
-        self.updates = updates;
+        let WirelengthObjective {
+            guest,
+            host,
+            weights,
+            tracker,
+            total,
+            scratch,
+        } = self;
+        let distance = |from: u64, to: u64| {
+            host.distance_index(from, to)
+                .expect("table entries are host nodes")
+        };
+        for_each_affected_edge(guest, scratch, table, a, b, |link, pf, pt, nf, nt| {
+            let w = link_weight(weights, link);
+            let (old, new) = (distance(pf, pt), distance(nf, nt));
+            tracker.remove(old);
+            tracker.insert(new);
+            *total -= w * old;
+            *total += w * new;
+        });
         self.cost()
     }
 }
@@ -1385,15 +1286,17 @@ mod tests {
         let host = Grid::mesh(shape(&[4, 6]));
         let e = embed(&guest, &host).unwrap();
         let mut table = e.to_table().unwrap();
-        let mut incremental = DilationObjective::new(&guest, &host).unwrap();
+        let mut incremental = WirelengthObjective::new(&guest, &host).unwrap();
         let mut cost = incremental.rebuild(&table);
         for (a, b) in random_swaps(guest.size(), 300, 3) {
             table.swap(a as usize, b as usize);
             cost = incremental.apply_swap(&table, a, b);
         }
-        let mut fresh = DilationObjective::new(&guest, &host).unwrap();
+        let mut fresh = WirelengthObjective::new(&guest, &host).unwrap();
         assert_eq!(cost, fresh.rebuild(&table));
-        // And the totals agree with the embedding built from the table.
+        // And the unit-weight totals are the average dilation times the
+        // edge count, and the maximum dilation, of the embedding built from
+        // the table.
         let rebuilt = Embedding::new(
             guest.clone(),
             host.clone(),
@@ -1458,6 +1361,39 @@ mod tests {
                 build().unwrap().rebuild(&table),
                 "weighted={weighted}"
             );
+        }
+    }
+
+    #[test]
+    fn weights_land_on_their_canonical_edges() {
+        // Against an independent Σ weight(t, h) · distance over
+        // `Grid::edges`, on guests with mesh boundaries, torus wrap edges
+        // and length-2 torus dimensions; the weight function must see the
+        // edges in `Grid::edges` order.
+        for (guest, host) in [
+            (Grid::torus(shape(&[4, 2, 3])), Grid::mesh(shape(&[4, 6]))),
+            (Grid::mesh(shape(&[3, 4])), Grid::torus(shape(&[12]))),
+            (Grid::hypercube(4).unwrap(), Grid::torus(shape(&[4, 4]))),
+        ] {
+            let weight = |t: u64, h: u64| 1 + (t * 7 + h) % 5;
+            let table = embed(&guest, &host).unwrap().to_table().unwrap();
+            let mut seen = Vec::new();
+            let mut objective = WirelengthObjective::with_weights(&guest, &host, |t, h| {
+                seen.push((t, h));
+                weight(t, h)
+            })
+            .unwrap();
+            assert_eq!(seen, guest.edges().collect::<Vec<_>>(), "{guest}");
+            let expected: u64 = guest
+                .edges()
+                .map(|(t, h)| {
+                    weight(t, h)
+                        * host
+                            .distance_index(table[t as usize], table[h as usize])
+                            .unwrap()
+                })
+                .sum();
+            assert_eq!(objective.rebuild(&table).primary, expected, "{guest}");
         }
     }
 
@@ -1666,7 +1602,7 @@ mod tests {
             Err(EmbeddingError::SizeMismatch { .. })
         ));
         assert!(matches!(
-            DilationObjective::new(&guest, &host),
+            WirelengthObjective::with_weights(&guest, &host, |_, _| 2),
             Err(EmbeddingError::SizeMismatch { .. })
         ));
         assert!(matches!(

@@ -22,8 +22,8 @@
 //! Fields appear in exactly this order. A graph spec is
 //! `torus:<l1>x…x<ld>` or `mesh:<l1>x…x<ld>` (rings, lines and hypercubes
 //! are the 1-dimensional and all-radix-2 special cases). The construction
-//! name is a quoted string with JSON-style escapes (`\"`, `\\`, `\n`, `\t`,
-//! `\r`, `\uXXXX` including surrogate pairs for astral code points).
+//! name is a JSON string literal, written and read by [`crate::json`]
+//! (`\uXXXX` escapes include surrogate pairs for astral code points).
 //! `table=-` means "rebuild by construction"; otherwise the table is the
 //! comma-separated list of host node indices, guest-node order.
 //! [`Plan::parse`] accepts one optional trailing newline; everything else is
@@ -49,6 +49,7 @@ use topology::{GraphKind, Grid, Shape};
 use crate::auto;
 use crate::embedding::Embedding;
 use crate::error::EmbeddingError;
+use crate::json;
 
 /// Why a plan could not be built, parsed, or rebuilt into an embedding.
 #[derive(Clone, Debug, PartialEq)]
@@ -260,9 +261,9 @@ impl Plan {
         out.push_str(&format_grid_spec(&self.guest));
         out.push_str(" host=");
         out.push_str(&format_grid_spec(&self.host));
-        out.push_str(&format!(" dilation={} construction=\"", self.dilation));
-        escape_into(&mut out, &self.construction);
-        out.push_str("\" table=");
+        out.push_str(&format!(" dilation={} construction=", self.dilation));
+        json::escape_into(&mut out, &self.construction);
+        out.push_str(" table=");
         match &self.table {
             None => out.push('-'),
             Some(table) => {
@@ -294,7 +295,12 @@ impl Plan {
         cursor.literal(" dilation=")?;
         let dilation = cursor.number()?;
         cursor.literal(" construction=")?;
-        let construction = cursor.quoted_string()?;
+        let (construction, end) =
+            json::decode_string(text, cursor.pos).map_err(|e| PlanError::Parse {
+                offset: e.offset,
+                message: e.kind.to_string(),
+            })?;
+        cursor.pos = end;
         cursor.literal(" table=")?;
         let table = cursor.table()?;
         cursor.end()?;
@@ -354,26 +360,6 @@ pub fn parse_grid_spec(spec: &str) -> Result<Grid, PlanError> {
     let grid = cursor.grid_spec()?;
     cursor.end()?;
     Ok(grid)
-}
-
-/// Appends `s` to `out` with the escape scheme of the plan format: `\"`,
-/// `\\`, `\n`, `\t`, `\r`, and `\uXXXX` for the remaining control
-/// characters. Everything else (including non-ASCII) passes through as raw
-/// UTF-8.
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// A byte cursor over the serialized form, producing offset-bearing parse
@@ -464,99 +450,6 @@ impl<'a> Cursor<'a> {
         }
         let shape = Shape::new(radices).map_err(|e| self.error(format!("invalid shape: {e}")))?;
         Ok(Grid::new(kind, shape))
-    }
-
-    /// Consumes a quoted string with the escape scheme of [`escape_into`],
-    /// decoding `\uXXXX` escapes (including surrogate pairs) back to
-    /// characters.
-    fn quoted_string(&mut self) -> Result<String, PlanError> {
-        self.literal("\"")?;
-        let mut out = String::new();
-        loop {
-            let rest = self.rest();
-            let Some(ch) = rest.chars().next() else {
-                return Err(self.error("unterminated string"));
-            };
-            match ch {
-                '"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    self.pos += 1;
-                    let Some(escaped) = self.rest().chars().next() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    match escaped {
-                        '"' | '\\' => {
-                            out.push(escaped);
-                            self.pos += 1;
-                        }
-                        'n' => {
-                            out.push('\n');
-                            self.pos += 1;
-                        }
-                        't' => {
-                            out.push('\t');
-                            self.pos += 1;
-                        }
-                        'r' => {
-                            out.push('\r');
-                            self.pos += 1;
-                        }
-                        'u' => {
-                            self.pos += 1;
-                            out.push(self.unicode_escape()?);
-                        }
-                        other => {
-                            return Err(self.error(format!("unsupported escape \\{other}")));
-                        }
-                    }
-                }
-                c => {
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Decodes the `XXXX` of a `\uXXXX` escape whose `\u` has already been
-    /// consumed, pairing a high surrogate with a following `\uXXXX` low
-    /// surrogate (and rejecting lone or mismatched surrogates).
-    fn unicode_escape(&mut self) -> Result<char, PlanError> {
-        let first = self.hex4()?;
-        let code = match first {
-            0xD800..=0xDBFF => {
-                // A high surrogate must be followed by an escaped low
-                // surrogate; together they name one astral code point.
-                self.literal("\\u")
-                    .map_err(|_| self.error("high surrogate not followed by \\u escape"))?;
-                let second = self.hex4()?;
-                if !(0xDC00..=0xDFFF).contains(&second) {
-                    return Err(self.error(format!(
-                        "high surrogate {first:04x} followed by non-surrogate {second:04x}"
-                    )));
-                }
-                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-            }
-            0xDC00..=0xDFFF => {
-                return Err(self.error(format!("lone low surrogate {first:04x}")));
-            }
-            code => code,
-        };
-        char::from_u32(code).ok_or_else(|| self.error(format!("non-scalar code point {code:x}")))
-    }
-
-    /// Consumes exactly four hex digits.
-    fn hex4(&mut self) -> Result<u32, PlanError> {
-        let rest = self.rest();
-        if rest.len() < 4 || !rest.as_bytes()[..4].iter().all(u8::is_ascii_hexdigit) {
-            return Err(self.error("expected four hex digits"));
-        }
-        let value = u32::from_str_radix(&rest[..4], 16).expect("four hex digits");
-        self.pos += 4;
-        Ok(value)
     }
 
     /// Consumes the table field: `-` or a comma-separated list of `u64`s.
@@ -677,7 +570,11 @@ mod tests {
     #[test]
     fn unicode_escapes_decode_including_surrogate_pairs() {
         let header = "plan v1 guest=mesh:2x2 host=mesh:2x2 dilation=1 construction=";
-        for (quoted, expected) in [(r#""µ""#, "µ"), (r#""✓""#, "✓"), (r#""😀""#, "😀")] {
+        for (quoted, expected) in [
+            (r#""\u00b5""#, "µ"),
+            (r#""\u2713""#, "✓"),
+            (r#""\ud83d\ude00""#, "😀"),
+        ] {
             let text = format!("{header}{quoted} table=-");
             assert_eq!(Plan::parse(&text).unwrap().construction(), expected);
         }

@@ -18,7 +18,8 @@
 //!   makespans per workload;
 //! * [`report`] — aggregate [`gridviz`] tables and the generated
 //!   `EXPERIMENTS.md`;
-//! * [`json`] — the offline JSONL serializer behind per-trial records.
+//! * [`json`] — the JSONL writer behind per-trial records, re-exported from
+//!   the workspace's one JSON codec in [`embeddings::json`].
 //!
 //! The `lab` binary wraps it all in a CLI (`lab run`, `lab report`,
 //! `lab expand`, `lab plans`); see the repository README.
@@ -51,11 +52,11 @@
 
 pub mod error;
 pub mod executor;
-pub mod json;
 pub mod plan;
 pub mod report;
 pub mod trial;
 
+pub use embeddings::json;
 pub use error::{ExplabError, Result};
 pub use executor::{run, SweepOutcome};
 pub use plan::{

@@ -18,7 +18,7 @@
 //! seed = 42
 //! rounds = 1
 //! workloads = neighbor, tornado, transpose
-//! optimize = congestion      # none (default) | congestion | dilation | wirelength | makespan
+//! optimize = congestion      # none (default) | congestion | wirelength | makespan
 //! optim_steps = 800          # annealing steps per shard
 //! optim_shards = 4           # independently-seeded annealing walks per trial
 //! optim_portfolio = true     # vary shard move mixes/temperatures (needs optimize)
@@ -315,12 +315,10 @@ pub enum ObjectiveKind {
     /// Minimize max link congestion (ties: total routed path length);
     /// incremental delta evaluation, the default.
     Congestion,
-    /// Minimize total path length / average dilation (ties: max dilation);
-    /// incremental delta evaluation.
-    Dilation,
     /// Minimize the unit-weight wirelength — the total routed path length
-    /// over guest edges, the quantity Tang's bound speaks about (ties: max
-    /// per-edge distance); incremental delta evaluation.
+    /// over guest edges, i.e. the average dilation times the edge count,
+    /// and the quantity Tang's bound speaks about (ties: max per-edge
+    /// distance); incremental delta evaluation.
     Wirelength,
     /// Minimize the simulated makespan of the guest's neighbor-exchange
     /// workload; every move re-simulates, so prefer small step counts.
@@ -332,7 +330,6 @@ impl ObjectiveKind {
     pub fn name(&self) -> &'static str {
         match self {
             ObjectiveKind::Congestion => "congestion",
-            ObjectiveKind::Dilation => "dilation",
             ObjectiveKind::Wirelength => "wirelength",
             ObjectiveKind::Makespan => "makespan",
         }
@@ -342,7 +339,6 @@ impl ObjectiveKind {
     pub fn from_name(name: &str) -> Option<ObjectiveKind> {
         [
             ObjectiveKind::Congestion,
-            ObjectiveKind::Dilation,
             ObjectiveKind::Wirelength,
             ObjectiveKind::Makespan,
         ]
@@ -689,7 +685,7 @@ impl SweepPlan {
                                 ExplabError::PlanParse {
                                     line,
                                     message: format!(
-                                        "optimize must be none, congestion, dilation, \
+                                        "optimize must be none, congestion, \
                                          wirelength or makespan, got {name:?}"
                                     ),
                                 }
@@ -1151,6 +1147,13 @@ mod tests {
                 portfolio: DEFAULT_OPTIM_PORTFOLIO,
             })
         );
+        // Unknown objectives are rejected with the names that exist; the
+        // unit-weight wirelength is what minimizes average dilation.
+        let unknown = SweepPlan::parse("family paper\noptimize = dilation")
+            .unwrap_err()
+            .to_string();
+        assert!(unknown.contains("\"dilation\""), "{unknown}");
+        assert!(unknown.contains("wirelength"), "{unknown}");
         // Shards without an objective, zero shards, and junk are rejected.
         assert!(SweepPlan::parse("family paper\noptim_shards = 2").is_err());
         assert!(SweepPlan::parse("family paper\noptimize = congestion\noptim_shards = 0").is_err());

@@ -260,7 +260,7 @@ pub fn optimizer_comparison(outcome: &SweepOutcome) -> Table {
         let before: u64 = pairs.iter().map(|(b, _)| b).sum();
         let after: u64 = pairs.iter().map(|(_, a)| a).sum();
         // Signed difference: the congestion objective is monotone in max
-        // congestion, but the dilation/makespan objectives may trade it
+        // congestion, but the wirelength/makespan objectives may trade it
         // away, and a negative reduction must render as such rather than
         // underflow `before - after` in u64.
         let reduction = if before == 0 {

@@ -15,9 +15,7 @@ use embeddings::chain::{ChainReport, ChainStep};
 use embeddings::congestion::congestion_sequential;
 use embeddings::lower_bound::wirelength_lower_bound;
 use embeddings::optim::parallel::{optimize_sharded, ShardStrategy, ShardedConfig, ShardedOutcome};
-use embeddings::optim::{
-    CongestionObjective, DilationObjective, Objective, OptimizerConfig, WirelengthObjective,
-};
+use embeddings::optim::{CongestionObjective, Objective, OptimizerConfig, WirelengthObjective};
 use embeddings::verify::verify_sequential;
 use embeddings::{Embedding, Plan};
 use netsim::chaos::{simulate_chaos, ChaosRouting, FaultPlan};
@@ -868,7 +866,6 @@ fn optimize_trial(
             ObjectiveKind::Congestion => {
                 Box::new(CongestionObjective::new(&spec.guest, &spec.host)?)
             }
-            ObjectiveKind::Dilation => Box::new(DilationObjective::new(&spec.guest, &spec.host)?),
             ObjectiveKind::Wirelength => {
                 Box::new(WirelengthObjective::new(&spec.guest, &spec.host)?)
             }

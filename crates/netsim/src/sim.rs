@@ -65,8 +65,8 @@ impl Placement {
     }
 
     /// A placement defined by an explicit table, rejecting non-injective
-    /// tables as an error — the fallible path for library code assembling
-    /// placements from untrusted input.
+    /// tables as an error, so library code can assemble placements from
+    /// untrusted input.
     ///
     /// # Errors
     ///
@@ -85,17 +85,6 @@ impl Placement {
             first_assignment.insert(node, task as u64);
         }
         Ok(Placement { map })
-    }
-
-    /// A placement defined by an explicit table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is not injective; use
-    /// [`Placement::try_from_table`] to handle that case as an error.
-    #[deprecated(note = "use `Placement::try_from_table` and handle the error")]
-    pub fn from_table(map: Vec<u64>) -> Self {
-        Self::try_from_table(map).expect("placement must be injective")
     }
 
     /// The placement induced by an embedding: task `x` (a guest node) runs on
@@ -358,14 +347,6 @@ mod tests {
         assert_eq!(stats.messages, 128);
         assert!(stats.cycles >= stats.max_hops);
         assert!(stats.total_hops >= stats.messages); // no self messages
-    }
-
-    #[test]
-    #[should_panic(expected = "injective")]
-    fn non_injective_placement_panics() {
-        // Pins the deprecated constructor's panic contract until removal.
-        #[allow(deprecated)]
-        let _ = Placement::from_table(vec![0, 1, 1]);
     }
 
     #[test]
