@@ -11,12 +11,13 @@
 //! serialize and every group measures roughly the sequential rate; results
 //! are bit-identical either way.
 //!
-//! `makespan/delta` runs the annealing walk under the delta-aware
-//! `netsim::MakespanObjective` (cached routes, flat-slot arbitration);
+//! `makespan/delta` runs the annealing walk under
+//! `netsim::MakespanObjective` (cached routes, whole-schedule replay on flat
+//! claim slots, rejected moves restored from its undo journal);
 //! `makespan/full_resim` times the same number of from-scratch simulator
-//! evaluations — the per-move cost the delta path replaces. Results are
-//! recorded in `BENCH_shards.json` at the repo root and gated by
-//! `benchgate` in CI.
+//! evaluations — the per-move cost the objective avoids. Results are
+//! recorded in `BENCH_shards.json` at the repo root; `benchgate` in CI gates
+//! `shards/4` and `makespan/delta`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emb_bench::{mesh, torus};
@@ -112,8 +113,8 @@ fn bench_makespan(c: &mut Criterion) {
         })
     });
 
-    // One delta evaluation via the incremental path, for the per-move rate:
-    // rebuild once outside, then time swap/undo pairs.
+    // The per-move rate: rebuild once outside, then time swap/undo pairs.
+    // Each pair is one whole-schedule replay plus one journal restore.
     group.bench_function(BenchmarkId::new("makespan", "delta_swap_pair"), |b| {
         let mut objective = MakespanObjective::new(Network::new(host.clone()), workload.clone(), 1)
             .expect("schedule fits");

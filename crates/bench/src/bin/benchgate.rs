@@ -33,7 +33,7 @@ use explab::plan::SweepPlan;
 use gridviz::Table;
 use mixedradix::planes::{DigitPlanes, LANES};
 use netsim::chaos::{simulate_chaos, ChaosRouting, FaultPlan};
-use netsim::{Network, Placement, Workload};
+use netsim::{MakespanObjective, Network, Placement, Workload};
 
 /// Times `work` `repetitions` times and returns the fastest wall-clock
 /// seconds (the least-noise estimator for throughput comparisons).
@@ -217,6 +217,35 @@ fn measure(metric: &BaselineMetric) -> Result<f64, String> {
                 );
             });
             Ok(u64::from(shards) as f64 * steps as f64 / seconds)
+        }
+        ("shard_scaling", "makespan_moves_per_s") => {
+            // The criterion bench's `makespan/delta` group: a 1000-step
+            // annealing walk under the makespan objective on the
+            // (8,8)-torus -> (8,8)-mesh pair with neighbor traffic, one
+            // round, a fresh objective per walk.
+            let guest = torus(&[8, 8]);
+            let host = mesh(&[8, 8]);
+            let embedding = embed(&guest, &host).map_err(|e| e.to_string())?;
+            let workload = Workload::from_task_graph(&guest);
+            let steps = 1_000u64;
+            let config = OptimizerConfig {
+                seed: 1987,
+                steps,
+                ..OptimizerConfig::default()
+            };
+            let seconds = best_seconds(5, || {
+                let mut objective =
+                    MakespanObjective::new(Network::new(host.clone()), workload.clone(), 1)
+                        .expect("schedule fits");
+                std::hint::black_box(
+                    Optimizer::new(config)
+                        .optimize(&embedding, &mut objective)
+                        .expect("optimize")
+                        .report
+                        .best,
+                );
+            });
+            Ok(steps as f64 / seconds)
         }
         ("embd_load", "queries_per_s") => {
             // A scaled-down embd-bench: loopback server, 2 clients, MAP

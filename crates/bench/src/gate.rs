@@ -146,10 +146,16 @@ pub fn extract_metrics(root: &Json) -> Result<Vec<BaselineMetric>, GateError> {
                 number_at(root, &["summary", "kcycle_moves_per_second"])?,
             ),
         ]),
-        "shard_scaling" => Ok(vec![metric(
-            "sharded_moves_per_s",
-            number_at(root, &["summary", "sharded_moves_per_second"])?,
-        )]),
+        "shard_scaling" => Ok(vec![
+            metric(
+                "sharded_moves_per_s",
+                number_at(root, &["summary", "sharded_moves_per_second"])?,
+            ),
+            metric(
+                "makespan_moves_per_s",
+                number_at(root, &["summary", "makespan_moves_per_second"])?,
+            ),
+        ]),
         "embd_load" => Ok(vec![metric(
             "queries_per_s",
             number_at(root, &["summary", "queries_per_second"])?,
@@ -286,12 +292,17 @@ mod tests {
 
         let shards = r#"{
             "benchmark": "shard_scaling",
-            "summary": {"sharded_moves_per_second": 96795}
+            "summary": {
+                "sharded_moves_per_second": 96795,
+                "makespan_moves_per_second": 99000
+            }
         }"#;
         let metrics = read_baseline(shards).unwrap();
-        assert_eq!(metrics.len(), 1);
+        assert_eq!(metrics.len(), 2);
         assert_eq!(metrics[0].metric, "sharded_moves_per_s");
         assert_eq!(metrics[0].throughput, 96795.0);
+        assert_eq!(metrics[1].metric, "makespan_moves_per_s");
+        assert_eq!(metrics[1].throughput, 99000.0);
 
         let pipeline = r#"{
             "benchmark": "pipeline_throughput",

@@ -442,10 +442,10 @@ proptest! {
         rounds in 1usize..=2,
     ) {
         // The simulation-backed objective joins the differential wall: the
-        // contention-component replay of `netsim::optimize` must stay
-        // bit-exact against a fresh full-arbitration rebuild through the
-        // same compound-move walks (its `Cost` is the makespan itself, so
-        // any skipped-but-affected component shows up here immediately).
+        // replay and undo journal of `netsim::optimize` must stay bit-exact
+        // against a fresh full-arbitration rebuild through the same
+        // compound-move walks (its `Cost` is the makespan itself, so any
+        // mis-restored route shows up here immediately).
         use embeddings::optim::Objective;
         use netsim::optimize::MakespanObjective;
         use netsim::{Network, Workload};

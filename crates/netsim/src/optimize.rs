@@ -1,5 +1,4 @@
-//! The simulated-makespan optimization objective, with delta-aware
-//! re-evaluation.
+//! The simulated-makespan optimization objective, with journaled undo.
 //!
 //! [`MakespanObjective`] plugs the store-and-forward simulator into the
 //! [`embeddings::optim`] local-search engine: the cost of a placement table
@@ -7,68 +6,73 @@
 //! as the task placement, with the total routed hop count as the
 //! tie-breaker — exactly the numbers [`crate::sim::simulate`] reports.
 //!
-//! Earlier revisions re-simulated the whole workload from scratch on every
-//! proposed move (route expansion, placement validation and a
-//! hash-set-arbitrated cycle loop per swap), which capped the objective at
-//! small step counts. This version makes makespan a first-class objective by
-//! splitting an evaluation into its two halves and making the first one
+//! An evaluation has two halves, and the objective keeps the first one
 //! incremental:
 //!
-//! * **routes** are cached per workload pair as `(next node, directed link
-//!   slot)` hop lists. A swap of the images of tasks `a` and `b` re-routes
-//!   *only the message pairs whose source or destination is one of the two
-//!   moved tasks* (every simulated round injects the same pairs, so those
-//!   pairs cover every touched round) — `O(degree × path length)` instead of
-//!   re-expanding every route;
-//! * **arbitration** is re-run only where a change can reach. Messages
-//!   interact exclusively through shared directed link slots, so the cached
-//!   routes partition into *contention components* (union–find over slots:
-//!   each route chains its own slots together, shared slots merge routes).
-//!   A re-routed pair dirties the slots of both its old and its new route;
-//!   only the components containing a dirty slot replay arbitration —
-//!   every other message keeps its cached delivery cycle, and the makespan
-//!   is the maximum over the per-message cycle cache. The replay runs on
-//!   flat, clock-stamped claim vectors indexed by directed link slot, with
-//!   an order-preserving active list that drops delivered messages: no
-//!   hashing, no allocation after warm-up. A swap that touches no workload
-//!   pair (possible when the optimizer's guest has more nodes than the
-//!   workload has tasks) skips re-arbitration entirely.
+//! * **routes** are cached per workload pair as lists of directed link
+//!   slots (`2 × link slot + direction bit`). A move re-routes *only the
+//!   message pairs whose source or destination is a moved task* (every
+//!   simulated round injects the same pairs, so those pairs cover every
+//!   touched round) — `O(degree × path length)` instead of re-expanding
+//!   every route;
+//! * **arbitration** replays the whole schedule: every message injects at
+//!   cycle 1 and walks its cached route in ascending message-index order
+//!   (round-major, pair-minor — the priority rule of
+//!   [`crate::sim::simulate`]), one message per directed link per cycle,
+//!   blocked messages retrying in place. The replay runs on a flat,
+//!   clock-stamped claim vector indexed by directed slot and an
+//!   order-preserving active list compacted in place as messages deliver:
+//!   no hashing and no allocation after warm-up. The makespan is the cycle
+//!   of the last delivery.
 //!
-//! Skipping clean components is exact, not approximate: a component with no
-//! dirty slot contains only unchanged routes (a changed route's slots are
-//! all dirty), shares no slot with any changed or replayed message, and all
-//! messages inject at cycle 1 — so its schedule under full arbitration is
-//! bit-identical to its cached one. The replayed components' active list
-//! stays in ascending message-index order, replaying the exact priority
-//! rule of [`crate::sim::simulate`] (message-index order, one message per
-//! directed link per cycle, FIFO blocking) — `rebuild` recomputes
-//! everything from scratch and is the differential anchor, and the netsim
-//! tests plus the embeddings proptest wall check every incremental path
-//! against [`crate::sim::simulate`] on random walks.
+//! Most proposed moves are rejected, and a rejected move is undone by
+//! re-applying it (swaps, reversals and block swaps are involutions; a
+//! rotation is undone by its two reversal batches in reverse order). So
+//! every move that is not itself an undo pushes a **journal** entry: its
+//! swap list, the routes it replaced and the cost before it. A call whose
+//! swap list equals the journal top's re-creates the table that entry was
+//! taken from, so it swaps those routes back and returns that cost without
+//! arbitrating. The journal holds two entries — enough for a rotation's two
+//! batches — and drops its oldest entry when full.
+//!
+//! Both shortcuts are exact: a route depends only on the images of its two
+//! endpoints, and a journal entry restores exactly the state it saved.
+//! `rebuild` recomputes everything from scratch and is the differential
+//! anchor; debug builds re-arbitrate every journal restore against a fresh
+//! claim vector, and the netsim tests plus the embeddings proptest wall
+//! check every path against [`crate::sim::simulate`] on random walks.
 
 use embeddings::optim::{Cost, Objective};
 use topology::routing::{for_each_hop, link_slot_of_hop};
+use topology::Grid;
 
 use crate::network::Network;
 use crate::traffic::Workload;
 
-/// One cached hop: the node the message moves to and the directed-link claim
-/// slot the move occupies for one cycle.
-type Hop = (u64, u64);
+/// How many moves the undo journal remembers: a k-cycle rotation is applied
+/// as two reversal batches and undone by the same two in reverse order.
+const JOURNAL_DEPTH: usize = 2;
 
 /// Why a [`MakespanObjective`] could not be constructed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MakespanError {
-    /// The schedule is too large: the arbitration scratch indexes messages
-    /// (workload pairs × rounds) with `u32`, so an evaluation is capped at
-    /// `u32::MAX` messages. A request-supplied workload or round count that
-    /// blows past the cap is a typed error here rather than a silent index
-    /// truncation (and a meaningless schedule) later.
+    /// The schedule is too large: an evaluation arbitrates at most
+    /// `u32::MAX` messages (workload pairs × rounds), which keeps the `u32`
+    /// pair indices of the arbitration scratch exact. A request-supplied
+    /// workload or round count that blows past the cap is a typed error
+    /// here rather than a silent index truncation (and a meaningless
+    /// schedule) later.
     ScheduleTooLarge {
         /// The number of workload pairs.
         pairs: usize,
         /// The number of rounds per evaluation.
         rounds: usize,
+    },
+    /// The network is too large: cached routes store directed link slots
+    /// (two per link) as `u32`.
+    NetworkTooLarge {
+        /// The number of links of the network.
+        links: u64,
     },
 }
 
@@ -81,74 +85,121 @@ impl core::fmt::Display for MakespanError {
                  {} messages one evaluation can arbitrate",
                 u32::MAX
             ),
+            MakespanError::NetworkTooLarge { links } => write!(
+                f,
+                "network of {links} links exceeds the {} directed link slots a \
+                 cached route can name",
+                u32::MAX
+            ),
         }
     }
 }
 
 impl std::error::Error for MakespanError {}
 
+/// One journaled move: enough to put the objective back to the state it
+/// was in before the move.
+struct JournalEntry {
+    /// The move's transpositions, exactly as the caller passed them.
+    swaps: Vec<(u64, u64)>,
+    /// The workload pairs the move re-routed.
+    pairs: Vec<u32>,
+    /// `routes[i]` is the route of `pairs[i]` before the move. Buffers past
+    /// `pairs.len()` are spares kept for their capacity.
+    routes: Vec<Vec<u32>>,
+    route_hops: u64,
+    cost: Cost,
+}
+
 /// Minimize the simulated makespan (cycles to deliver the workload under
 /// one-message-per-directed-link arbitration), with the total routed hop
 /// count as the tie-breaker.
 ///
-/// See the [module docs](self) for the delta-aware evaluation strategy.
+/// See the [module docs](self) for the evaluation strategy.
 pub struct MakespanObjective {
     network: Network,
     workload: Workload,
     rounds: usize,
     dims: Vec<usize>,
-    /// Cached route of each workload pair under the current table (hop
-    /// buffers keep their capacity across re-routes).
-    routes: Vec<Vec<Hop>>,
+    /// Cached route of each workload pair under the current table, as
+    /// directed link slots.
+    routes: Vec<Vec<u32>>,
     /// `task_pairs[t]` = indices of the workload pairs with source or
     /// destination task `t`.
     task_pairs: Vec<Vec<u32>>,
     /// Sum of cached route lengths (per round).
     route_hops: u64,
-    /// Dedup stamps so a pair touching both swapped tasks re-routes once.
+    /// Dedup stamps so a pair touching two moved tasks re-routes once.
     pair_epoch: Vec<u64>,
     epoch: u64,
     /// Directed-link claim stamps: `stamp[slot] == clock` means the slot is
     /// taken in the current cycle. Never reset — the clock only grows.
     stamp: Vec<u64>,
     clock: u64,
-    /// Arbitration scratch, reused across evaluations.
-    position: Vec<u32>,
-    active: Vec<u32>,
-    next_active: Vec<u32>,
-    affected: Vec<u32>,
-    touched: Vec<u64>,
-    /// Delivery cycle of each message (round-major index; 0 for empty
-    /// routes). The makespan is the maximum; clean contention components
-    /// keep their entries across incremental evaluations.
-    msg_cycles: Vec<u64>,
-    /// Union–find parents over directed slots, rebuilt per incremental
-    /// evaluation to partition routes into contention components.
-    slot_parent: Vec<u32>,
-    /// `root_epoch[root] == epoch` marks a dirty component this evaluation.
-    root_epoch: Vec<u64>,
-    /// Old + new slots of every route changed since the last arbitration.
-    dirty_slots: Vec<u64>,
+    /// Arbitration scratch: `(pair, next hop)` of each undelivered message.
+    active: Vec<(u32, u32)>,
+    /// The undo journal; `journal[..depth]` is live, the top is last.
+    journal: [JournalEntry; JOURNAL_DEPTH],
+    depth: usize,
     cost: Cost,
 }
 
-/// Union–find `find` with path halving, as a free function so it can borrow
-/// the parent vector while other fields of the objective stay borrowed.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
-    }
-    x
+/// Writes the directed link slots of the dimension-ordered route from host
+/// node `from` to `to` into `route`, replacing its contents.
+fn route_into(grid: &Grid, dims: &[usize], from: u64, to: u64, route: &mut Vec<u32>) {
+    route.clear();
+    let current = grid.coord(from).expect("placement node in range");
+    let target = grid.coord(to).expect("placement node in range");
+    for_each_hop(grid, &current, from, &target, dims, |hop, before, after| {
+        let link = link_slot_of_hop(grid, hop, before, after);
+        // Fits: the constructor caps `2 × link_count` at `u32::MAX + 1`.
+        route.push((2 * link + u64::from(before < after)) as u32);
+    });
 }
 
-/// Union–find merge of the components of `a` and `b`.
-fn union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = find(parent, a);
-    let rb = find(parent, b);
-    if ra != rb {
-        parent[rb as usize] = ra;
+/// Replays the arbitration of [`crate::sim::simulate`] over `rounds` rounds
+/// of `routes` and returns the makespan: every message injects at cycle 1,
+/// messages claim their next directed slot in ascending message-index order
+/// (round-major, pair-minor, the order the full simulator builds its
+/// message list in), each slot carries one message per cycle, and blocked
+/// messages retry in place. `stamp` and `clock` are the claim vector and its
+/// clock; `active` is scratch.
+fn arbitrate(
+    routes: &[Vec<u32>],
+    rounds: usize,
+    active: &mut Vec<(u32, u32)>,
+    stamp: &mut [u64],
+    clock: &mut u64,
+) -> u64 {
+    active.clear();
+    for _ in 0..rounds {
+        for (pair, route) in routes.iter().enumerate() {
+            if !route.is_empty() {
+                active.push((pair as u32, 0));
+            }
+        }
     }
+    let mut cycles = 0;
+    while !active.is_empty() {
+        cycles += 1;
+        *clock += 1;
+        let now = *clock;
+        // Compact in place without data-dependent branches: whether a claim
+        // succeeds and whether a message delivers are coin flips to the
+        // branch predictor, and re-stamping a taken slot is a no-op.
+        let mut kept = 0;
+        for read in 0..active.len() {
+            let (pair, hop) = active[read];
+            let route = &routes[pair as usize];
+            let claim = &mut stamp[route[hop as usize] as usize];
+            let hop = hop + u32::from(*claim != now);
+            *claim = now;
+            active[kept] = (pair, hop);
+            kept += usize::from((hop as usize) < route.len());
+        }
+        active.truncate(kept);
+    }
+    cycles
 }
 
 impl MakespanObjective {
@@ -157,12 +208,18 @@ impl MakespanObjective {
     ///
     /// # Errors
     ///
-    /// [`MakespanError::ScheduleTooLarge`] when `pairs × rounds` exceeds the
-    /// `u32` message index space of the arbitration scratch.
+    /// [`MakespanError::ScheduleTooLarge`] when `pairs × rounds` exceeds
+    /// `u32::MAX` messages, and
+    /// [`MakespanError::NetworkTooLarge`] when the network's directed link
+    /// slots exceed the `u32` slot space of the cached routes.
     pub fn new(network: Network, workload: Workload, rounds: usize) -> Result<Self, MakespanError> {
         let pairs = workload.pairs().len();
         if pairs as u128 * rounds.max(1) as u128 > u32::MAX as u128 {
             return Err(MakespanError::ScheduleTooLarge { pairs, rounds });
+        }
+        let links = network.grid().link_count();
+        if 2 * links as u128 > u32::MAX as u128 + 1 {
+            return Err(MakespanError::NetworkTooLarge { links });
         }
         let mut task_pairs: Vec<Vec<u32>> = vec![Vec::new(); workload.tasks() as usize];
         for (index, &(src, dst)) in workload.pairs().iter().enumerate() {
@@ -172,7 +229,17 @@ impl MakespanObjective {
             }
         }
         let dims = (0..network.grid().dim()).collect();
-        let stamp = vec![0; 2 * network.grid().link_count() as usize];
+        let cost = Cost {
+            primary: 0,
+            secondary: 0,
+        };
+        let entry = || JournalEntry {
+            swaps: Vec::new(),
+            pairs: Vec::new(),
+            routes: Vec::new(),
+            route_hops: 0,
+            cost,
+        };
         Ok(MakespanObjective {
             network,
             workload,
@@ -183,223 +250,118 @@ impl MakespanObjective {
             route_hops: 0,
             pair_epoch: vec![0; pairs],
             epoch: 0,
-            stamp,
+            stamp: vec![0; 2 * links as usize],
             clock: 0,
-            position: Vec::new(),
             active: Vec::new(),
-            next_active: Vec::new(),
-            affected: Vec::new(),
-            touched: Vec::new(),
-            msg_cycles: Vec::new(),
-            slot_parent: Vec::new(),
-            root_epoch: Vec::new(),
-            dirty_slots: Vec::new(),
-            cost: Cost {
-                primary: 0,
-                secondary: 0,
-            },
+            journal: std::array::from_fn(|_| entry()),
+            depth: 0,
+            cost,
         })
     }
 
-    /// Re-expands the cached route of pair `pair` under `table`, keeping
-    /// `route_hops` in sync. Hops are stored with their directed claim slot
-    /// (`2 × canonical link slot + direction bit`) so arbitration needs no
-    /// coordinate math. Both the old and the new route's slots are appended
-    /// to `dirty_slots`, marking every contention component this change can
-    /// reach (the full evaluation of `rebuild` clears the list instead).
-    fn route_pair(&mut self, pair: usize, table: &[u64]) {
-        let (src_task, dst_task) = self.workload.pairs()[pair];
-        let from = table[src_task as usize];
-        let to = table[dst_task as usize];
-        let grid = self.network.grid();
-        let mut dirty = std::mem::take(&mut self.dirty_slots);
-        let route = &mut self.routes[pair];
-        self.route_hops -= route.len() as u64;
-        dirty.extend(route.iter().map(|&(_, slot)| slot));
-        route.clear();
-        let current = grid.coord(from).expect("placement node in range");
-        let target = grid.coord(to).expect("placement node in range");
-        for_each_hop(
-            grid,
-            &current,
-            from,
-            &target,
-            &self.dims,
-            |hop, before, after| {
-                let link = link_slot_of_hop(grid, hop, before, after);
-                let slot = 2 * link + u64::from(before < after);
-                route.push((after, slot));
-            },
+    /// Replays the whole schedule from the cached routes and caches the
+    /// resulting cost.
+    fn evaluate(&mut self) -> Cost {
+        let primary = arbitrate(
+            &self.routes,
+            self.rounds,
+            &mut self.active,
+            &mut self.stamp,
+            &mut self.clock,
         );
-        dirty.extend(route.iter().map(|&(_, slot)| slot));
-        self.route_hops += route.len() as u64;
-        self.dirty_slots = dirty;
-    }
-
-    /// Replays the arbitration of [`crate::sim::simulate`] over the
-    /// messages currently in `active` (ascending message index — the
-    /// priority order of the full simulator; indices are round-major,
-    /// pair-minor, the order the full simulator builds its message list
-    /// in): every active message injects at cycle 1, each directed link
-    /// carries one message per cycle, blocked messages retry in place, and
-    /// each delivery records its cycle in `msg_cycles`. Callers must reset
-    /// `position` to 0 for every active message. Messages left out of
-    /// `active` keep their cached delivery cycles — exact whenever they
-    /// share no directed slot with any active message, because disjoint
-    /// slots never contend and all messages inject at cycle 1.
-    fn arbitrate_active(&mut self) {
-        let pairs = self.routes.len();
-        let mut cycle = 0u64;
-        while !self.active.is_empty() {
-            cycle += 1;
-            self.clock += 1;
-            self.next_active.clear();
-            for &m in &self.active {
-                let route = &self.routes[m as usize % pairs];
-                let (_, slot) = route[self.position[m as usize] as usize];
-                if self.stamp[slot as usize] != self.clock {
-                    self.stamp[slot as usize] = self.clock;
-                    self.position[m as usize] += 1;
-                    if (self.position[m as usize] as usize) < route.len() {
-                        self.next_active.push(m);
-                    } else {
-                        self.msg_cycles[m as usize] = cycle;
-                    }
-                } else {
-                    self.next_active.push(m);
-                }
-            }
-            std::mem::swap(&mut self.active, &mut self.next_active);
-        }
-    }
-
-    /// Caches and returns the cost implied by the current `msg_cycles` and
-    /// route lengths.
-    fn finish_cost(&mut self) -> Cost {
         self.cost = Cost {
-            primary: self.msg_cycles.iter().copied().max().unwrap_or(0),
+            primary,
             secondary: self.route_hops * self.rounds as u64,
         };
         self.cost
     }
 
-    /// Recomputes the schedule from the cached routes, arbitrating every
-    /// message from scratch — the differential anchor for the incremental
-    /// path.
-    fn evaluate_full(&mut self) -> Cost {
-        let pairs = self.routes.len();
-        let total = pairs * self.rounds;
-        self.position.clear();
-        self.position.resize(total, 0);
-        self.msg_cycles.clear();
-        self.msg_cycles.resize(total, 0);
-        self.active.clear();
-        for m in 0..total {
-            if !self.routes[m % pairs].is_empty() {
-                self.active.push(m as u32);
-            }
+    /// Pops the journal top, swapping its saved routes back in, and returns
+    /// the cost it saved.
+    fn restore(&mut self) -> Cost {
+        self.depth -= 1;
+        let entry = &mut self.journal[self.depth];
+        for (route, &pair) in entry.routes.iter_mut().zip(&entry.pairs) {
+            std::mem::swap(route, &mut self.routes[pair as usize]);
         }
-        self.arbitrate_active();
-        self.finish_cost()
-    }
-
-    /// Re-arbitrates only the contention components reachable from
-    /// `dirty_slots` (consumed here): union–find over the directed slots of
-    /// the *current* routes partitions messages into slot-sharing
-    /// components, and a component replays iff it contains a dirty slot.
-    /// Every other message keeps its cached delivery cycle — see the module
-    /// docs for why skipping clean components is bit-exact.
-    fn evaluate_incremental(&mut self) -> Cost {
-        let pairs = self.routes.len();
-        let total = pairs * self.rounds;
+        self.route_hops = entry.route_hops;
+        self.cost = entry.cost;
+        // The check re-arbitrates on a fresh claim vector and clock, so it
+        // leaves the objective's own untouched.
         debug_assert_eq!(
-            self.msg_cycles.len(),
-            total,
-            "rebuild must run before incremental evaluation"
+            arbitrate(
+                &self.routes,
+                self.rounds,
+                &mut Vec::new(),
+                &mut vec![0; self.stamp.len()],
+                &mut 0
+            ),
+            self.cost.primary,
+            "journal restore diverged from a full replay"
         );
-
-        // Partition: chain each route's slots together; shared slots merge
-        // routes transitively.
-        let slots = self.stamp.len();
-        self.slot_parent.clear();
-        self.slot_parent.extend(0..slots as u32);
-        for route in &self.routes {
-            let mut hops = route.iter();
-            if let Some(&(_, first)) = hops.next() {
-                for &(_, slot) in hops {
-                    union(&mut self.slot_parent, first as u32, slot as u32);
-                }
-            }
-        }
-
-        // Mark the components holding any old or new slot of a changed
-        // route. Dirty slots no current route uses root singleton
-        // components with no messages — harmless. The `epoch` stamp was
-        // bumped by `resync_touched`, so stale marks never match.
-        self.root_epoch.resize(slots, 0);
-        let mut dirty = std::mem::take(&mut self.dirty_slots);
-        for &slot in &dirty {
-            let root = find(&mut self.slot_parent, slot as u32);
-            self.root_epoch[root as usize] = self.epoch;
-        }
-        dirty.clear();
-        self.dirty_slots = dirty;
-
-        // Replay exactly the messages of dirty components, in ascending
-        // message-index order. A route's slots all share one component, so
-        // its first slot's root classifies the whole message. Pairs with
-        // empty routes have no slots and never contend; their cached cycle
-        // is 0 and stays valid (a route is empty iff its pair is a
-        // self-send, which no table change can alter).
-        self.active.clear();
-        for m in 0..total {
-            let route = &self.routes[m % pairs];
-            let Some(&(_, first)) = route.first() else {
-                continue;
-            };
-            let root = find(&mut self.slot_parent, first as u32);
-            if self.root_epoch[root as usize] == self.epoch {
-                self.position[m] = 0;
-                self.active.push(m as u32);
-            }
-        }
-        self.arbitrate_active();
-        self.finish_cost()
+        self.cost
     }
 
-    /// The shared delta path: re-routes every workload pair touched by any
-    /// task in `touched` (deduplicated), then re-arbitrates the reachable
-    /// contention components once. Returns the cached cost untouched when
-    /// no pair is affected.
-    fn resync_touched(&mut self, table: &[u64], touched: &[u64]) -> Cost {
+    /// The shared move path: `table` already has `swaps` applied. Restores
+    /// the journal top when `swaps` re-applies it; otherwise journals the
+    /// move, re-routes every workload pair a moved task sends or receives
+    /// (once each) and replays the schedule. A move that touches no pair
+    /// keeps the cached cost.
+    fn apply_move(&mut self, table: &[u64], swaps: &[(u64, u64)]) -> Cost {
+        if self.depth > 0 && self.journal[self.depth - 1].swaps == swaps {
+            return self.restore();
+        }
+        if self.depth == JOURNAL_DEPTH {
+            self.journal.rotate_left(1);
+            self.depth -= 1;
+        }
+        let entry = &mut self.journal[self.depth];
+        self.depth += 1;
+        entry.swaps.clear();
+        entry.swaps.extend_from_slice(swaps);
+        entry.route_hops = self.route_hops;
+        entry.cost = self.cost;
+
         self.epoch += 1;
-        let epoch = self.epoch;
-        let mut affected = std::mem::take(&mut self.affected);
-        affected.clear();
-        for &task in touched {
-            let Some(pairs) = self.task_pairs.get(task as usize) else {
-                // The guest has more nodes than the workload has tasks, and
-                // this task is outside the workload: nothing to re-route.
+        entry.pairs.clear();
+        for &(a, b) in swaps {
+            if a == b {
                 continue;
-            };
-            for &pair in pairs {
-                if self.pair_epoch[pair as usize] != epoch {
-                    self.pair_epoch[pair as usize] = epoch;
-                    affected.push(pair);
+            }
+            for task in [a, b] {
+                // A task outside the workload (the guest has more nodes
+                // than the workload has tasks) has nothing to re-route.
+                for &pair in self.task_pairs.get(task as usize).into_iter().flatten() {
+                    if self.pair_epoch[pair as usize] != self.epoch {
+                        self.pair_epoch[pair as usize] = self.epoch;
+                        entry.pairs.push(pair);
+                    }
                 }
             }
         }
-        if affected.is_empty() {
-            // No touched task sends or receives: routes — and therefore the
-            // schedule — are unchanged.
-            self.affected = affected;
+        if entry.pairs.is_empty() {
+            // Routes — and therefore the schedule — are unchanged.
             return self.cost;
         }
-        for &pair in &affected {
-            self.route_pair(pair as usize, table);
+        if entry.routes.len() < entry.pairs.len() {
+            entry.routes.resize_with(entry.pairs.len(), Vec::new);
         }
-        self.affected = affected;
-        self.evaluate_incremental()
+        let grid = self.network.grid();
+        for (spare, &pair) in entry.routes.iter_mut().zip(&entry.pairs) {
+            let (src, dst) = self.workload.pairs()[pair as usize];
+            route_into(
+                grid,
+                &self.dims,
+                table[src as usize],
+                table[dst as usize],
+                spare,
+            );
+            let old = &mut self.routes[pair as usize];
+            self.route_hops = self.route_hops + spare.len() as u64 - old.len() as u64;
+            // The new route goes live; the old one is journaled in its place.
+            std::mem::swap(spare, old);
+        }
+        self.evaluate()
     }
 }
 
@@ -424,43 +386,39 @@ impl Objective for MakespanObjective {
                 );
             }
         }
-        for pair in 0..self.routes.len() {
-            self.route_pair(pair, table);
+        let grid = self.network.grid();
+        for (route, &(src, dst)) in self.routes.iter_mut().zip(self.workload.pairs()) {
+            route_into(
+                grid,
+                &self.dims,
+                table[src as usize],
+                table[dst as usize],
+                route,
+            );
         }
-        // Full evaluation re-arbitrates everything; the dirty-slot trail
-        // the re-routes left behind is moot.
-        self.dirty_slots.clear();
-        self.evaluate_full()
+        self.route_hops = self.routes.iter().map(|route| route.len() as u64).sum();
+        self.depth = 0;
+        self.evaluate()
     }
 
     fn apply_swap(&mut self, table: &[u64], a: u64, b: u64) -> Cost {
         if a == b {
             return self.cost;
         }
-        self.resync_touched(table, &[a, b])
+        self.apply_move(table, &[(a, b)])
     }
 
     fn apply_disjoint_swaps(&mut self, table: &mut [u64], swaps: &[(u64, u64)]) -> Cost {
         // A compound move (segment reversal, k-cycle rotation batch, block
-        // swap) re-routes the pairs of *every* transposed task but pays the
-        // arbitration pass once — the override the default per-swap loop
-        // exists for, since arbitration dominates this objective's
-        // evaluation.
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.clear();
+        // swap) re-routes the pairs of *every* transposed task but replays
+        // the schedule once — the override the default per-swap loop exists
+        // for, since arbitration dominates this objective's evaluation.
         for &(a, b) in swaps {
             table.swap(a as usize, b as usize);
-            if a != b {
-                touched.push(a);
-                touched.push(b);
-            }
         }
-        let cost = self.resync_touched(table, &touched);
-        self.touched = touched;
-        cost
+        self.apply_move(table, swaps)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,8 +508,7 @@ mod tests {
     }
 
     /// Two four-task rings pinned to opposite rows of a 4×4 mesh, with the
-    /// middle rows unused: their routes share no directed slots, so the
-    /// contention partition always has (at least) two clean-able components.
+    /// middle rows unused: many swaps touch one ring or none.
     fn two_cluster_workload() -> (Network, Workload, Vec<u64>) {
         let host = Grid::mesh(shape(&[4, 4]));
         let pairs = vec![
@@ -571,11 +528,10 @@ mod tests {
 
     #[test]
     fn multi_component_walks_match_full_resimulation() {
-        // The sparse case the contention-component replay exists for: most
-        // swaps touch one cluster (or no cluster at all), so the other
-        // cluster's cached cycles must carry over bit-exactly while its
-        // component is skipped. Random swaps and reversal batches, checked
-        // against a full re-simulation at every step.
+        // Sparse traffic: most swaps touch one cluster or none, so most
+        // moves re-route few pairs (or none, keeping the cached cost).
+        // Random swaps and reversal batches, checked against a full
+        // re-simulation at every step.
         let (network, workload, mut table) = two_cluster_workload();
         let rounds = 2;
         let mut objective = MakespanObjective::new(
@@ -617,31 +573,64 @@ mod tests {
     }
 
     #[test]
-    fn clean_components_are_skipped_not_replayed() {
-        // White-box proof that the incremental path really skips clean
-        // components instead of recomputing them: corrupt the cached
-        // delivery cycle of a message in the *other* cluster, apply a swap
-        // confined to the first cluster, and watch the corruption survive
-        // into the reported cost. A full replay would wash it out — which
-        // is exactly what the final rebuild then does.
-        let (network, workload, mut table) = two_cluster_workload();
+    fn journal_restores_do_not_replay() {
+        // White-box proof that undoing a move restores the journaled routes
+        // and cost instead of re-arbitrating: the private `clock` advances
+        // once per replayed cycle, so a restore must leave it where it was.
+        let guest = Grid::torus(shape(&[4, 6]));
+        let host = Grid::mesh(shape(&[4, 6]));
+        let e = embed(&guest, &host).unwrap();
+        let workload = Workload::from_task_graph(&guest);
+        let network = Network::new(host.clone());
+        let rounds = 2;
         let mut objective =
-            MakespanObjective::new(Network::new(network.grid().clone()), workload.clone(), 1)
-                .unwrap();
-        let honest = objective.rebuild(&table);
-        // Message 4 is pair (12, 13): routed entirely inside the bottom row.
-        objective.msg_cycles[4] = 777;
-        // Swap two top-row placements: dirty slots stay in the top row.
-        table.swap(0, 1);
-        let tainted = objective.apply_swap(&table, 0, 1);
+            MakespanObjective::new(Network::new(host), workload.clone(), rounds).unwrap();
+        let start = e.to_table().unwrap();
+        let mut table = start.clone();
+        let before = objective.rebuild(&table);
+
+        // A swap, undone by re-applying it.
+        table.swap(3, 17);
+        let swapped = objective.apply_swap(&table, 3, 17);
+        assert_eq!(swapped, full_cost(&network, &workload, rounds, &table));
+        let clock = objective.clock;
+        table.swap(3, 17);
+        assert_eq!(objective.apply_swap(&table, 3, 17), before);
+        assert_eq!(objective.clock, clock, "the swap undo re-arbitrated");
+
+        // A reversal batch of 5..=10, undone by re-applying it.
+        let reversal = [(5u64, 10u64), (6, 9), (7, 8)];
+        let reversed = objective.apply_disjoint_swaps(&mut table, &reversal);
+        assert_eq!(reversed, full_cost(&network, &workload, rounds, &table));
+        let clock = objective.clock;
         assert_eq!(
-            tainted.primary, 777,
-            "the bottom-row component was replayed, not skipped"
+            objective.apply_disjoint_swaps(&mut table, &reversal),
+            before
         );
-        // A rebuild discards every cached cycle and restores the truth.
-        let rebuilt = objective.rebuild(&table);
-        assert_eq!(rebuilt, full_cost(&network, &workload, 1, &table));
-        assert_eq!(rebuilt.secondary, honest.secondary, "same routed hops");
+        assert_eq!(objective.clock, clock, "the reversal undo re-arbitrated");
+
+        // A rotation of 12..=16 as the optimizer applies it — reverse the
+        // run, then all but its last element — undone in reverse order.
+        let whole = [(12u64, 16u64), (13, 15)];
+        let head = [(12u64, 15u64), (13, 14)];
+        objective.apply_disjoint_swaps(&mut table, &whole);
+        let rotated = objective.apply_disjoint_swaps(&mut table, &head);
+        assert_eq!(rotated, full_cost(&network, &workload, rounds, &table));
+        let clock = objective.clock;
+        objective.apply_disjoint_swaps(&mut table, &head);
+        assert_eq!(objective.apply_disjoint_swaps(&mut table, &whole), before);
+        assert_eq!(objective.clock, clock, "the rotation undo re-arbitrated");
+        assert_eq!(table, start);
+
+        // An accepted move followed by a different one: the second is no
+        // undo, so it replays — and still prices the table exactly.
+        table.swap(3, 17);
+        objective.apply_swap(&table, 3, 17);
+        let clock = objective.clock;
+        table.swap(0, 11);
+        let next = objective.apply_swap(&table, 0, 11);
+        assert!(objective.clock > clock, "a fresh move must replay");
+        assert_eq!(next, full_cost(&network, &workload, rounds, &table));
     }
 
     #[test]

@@ -140,11 +140,14 @@ proptest! {
         messages in 4usize..48,
         rounds in 1usize..3,
         seed in 0u64..1000,
-        swaps in proptest::collection::vec((0u64..128, 0u64..127), 1..40),
+        ops in proptest::collection::vec((0u8..4, 0u64..128, 0u64..127), 1..40),
     ) {
         // The delta-aware MakespanObjective must report, after every
-        // incremental swap, exactly the (cycles, total hops) a full
-        // re-simulation of the same table computes.
+        // operation, exactly the (cycles, total hops) a full re-simulation
+        // of the same table computes. The ops mix the three ways a move
+        // reaches the objective: fresh swaps that replay the schedule,
+        // immediate re-applications that restore the undo journal's top,
+        // and two-batch rotations undone batch by batch in reverse order.
         use embeddings::optim::{Cost, Objective};
         use netsim::MakespanObjective;
 
@@ -159,17 +162,57 @@ proptest! {
             let stats = simulate(&network, &workload, &placement, rounds);
             Cost { primary: stats.cycles, secondary: stats.total_hops }
         };
+        let reversal = |start: u64, end: u64| -> Vec<(u64, u64)> {
+            (start..=end).zip((start..=end).rev()).take_while(|&(i, j)| i < j).collect()
+        };
         prop_assert_eq!(cost, full(&table));
-        for (raw_a, raw_b) in swaps {
+        for (kind, raw_a, raw_b) in ops {
             let a = raw_a % n;
             let mut b = raw_b % (n - 1).max(1);
             if b >= a {
                 b = (b + 1) % n;
             }
-            table.swap(a as usize, b as usize);
-            cost = objective.apply_swap(&table, a, b);
-            prop_assert_eq!(cost, full(&table), "after swapping {} and {}", a, b);
+            let (low, high) = (a.min(b), a.max(b));
+            match kind {
+                // A fresh swap.
+                0 => {
+                    table.swap(a as usize, b as usize);
+                    cost = objective.apply_swap(&table, a, b);
+                    prop_assert_eq!(cost, full(&table), "after swapping {} and {}", a, b);
+                }
+                // A swap, then its immediate re-application.
+                1 => {
+                    for _ in 0..2 {
+                        table.swap(a as usize, b as usize);
+                        cost = objective.apply_swap(&table, a, b);
+                        prop_assert_eq!(cost, full(&table), "after swapping {} and {}", a, b);
+                    }
+                }
+                // A reversal of low..=high, then its immediate re-application.
+                2 => {
+                    let swaps = reversal(low, high);
+                    for _ in 0..2 {
+                        cost = objective.apply_disjoint_swaps(&mut table, &swaps);
+                        prop_assert_eq!(cost, full(&table), "after reversing {}..={}", low, high);
+                    }
+                }
+                // A rotation of low..=high as two reversal batches, undone
+                // by the same batches in reverse order.
+                _ => {
+                    if high < low + 2 {
+                        continue;
+                    }
+                    let whole = reversal(low, high);
+                    let head = reversal(low, high - 1);
+                    for batch in [&whole, &head, &head, &whole] {
+                        cost = objective.apply_disjoint_swaps(&mut table, batch);
+                        prop_assert_eq!(cost, full(&table), "rotating {}..={}", low, high);
+                    }
+                }
+            }
         }
+        let mut fresh = MakespanObjective::new(network.clone(), workload.clone(), rounds).unwrap();
+        prop_assert_eq!(cost, fresh.rebuild(&table));
     }
 
     #[test]
