@@ -27,7 +27,7 @@ pub use topology::parallel::splitmix64;
 
 /// Expands a plan into its trial list: every family's pairs, in family
 /// order, with ids `0..len` and derived seeds.
-pub fn expand(plan: &SweepPlan) -> Vec<TrialSpec> {
+pub fn expand(plan: &SweepPlan) -> Vec<TrialSpec<'_>> {
     let mut specs = Vec::new();
     for (family_index, family) in plan.families.iter().enumerate() {
         // Each family draws from its own seed so that listing the same
@@ -41,11 +41,7 @@ pub fn expand(plan: &SweepPlan) -> Vec<TrialSpec> {
                 guest,
                 host,
                 seed: splitmix64(plan.seed ^ (id as u64)),
-                rounds: plan.rounds,
-                workloads: plan.workloads.clone(),
-                optimize: plan.optimize,
-                wirelength: plan.wirelength,
-                chaos: plan.chaos.clone(),
+                plan,
             });
         }
     }
@@ -134,7 +130,7 @@ mod tests {
         for (index, spec) in specs.iter().enumerate() {
             assert_eq!(spec.id, index);
             assert_eq!(spec.seed, splitmix64(plan.seed ^ (index as u64)));
-            assert_eq!(spec.rounds, plan.rounds);
+            assert!(std::ptr::eq(spec.plan, &plan));
         }
         // Family blocks appear in plan order.
         let first_family = specs.first().unwrap().family;

@@ -15,7 +15,9 @@
 //! * [`trial`] — one pair measured end to end on the batched pipeline:
 //!   predicted vs measured dilation ([`embeddings::verify`]), congestion,
 //!   the [`embeddings::chain::ChainReport`] bound check, and `netsim`
-//!   makespans per workload;
+//!   makespans per workload, plus the optimize, wirelength and chaos stages
+//!   the plan enables — each stage's result writes its own JSON object and
+//!   checks its own invariants, and a [`TrialSpec`] borrows its plan;
 //! * [`report`] — aggregate [`gridviz`] tables and the generated
 //!   `EXPERIMENTS.md`;
 //! * [`json`] — the JSONL writer behind per-trial records, re-exported from

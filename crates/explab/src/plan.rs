@@ -35,6 +35,9 @@
 //! family random count=16 max_size=40 max_dim=3
 //! ```
 
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topology::families::{distinct_shapes_of_size, grids_of_size, shapes_of_size};
@@ -169,46 +172,9 @@ impl Family {
                 out
             }
             Family::Hypercube { max_dim } => {
-                let mut out = Vec::new();
-                for d in 2..=max_dim {
-                    let cube = match Grid::hypercube(d) {
-                        Ok(cube) => cube,
-                        Err(_) => break,
-                    };
-                    let n = cube.size();
-                    for host in grids_of_size(GraphKind::Mesh, n, d)
-                        .into_iter()
-                        .chain(grids_of_size(GraphKind::Torus, n, d))
-                    {
-                        // The hypercube itself appears as the all-2s shape on
-                        // both lists; skip the identity pairs.
-                        if host.shape().is_binary() {
-                            continue;
-                        }
-                        out.push((cube.clone(), host));
-                    }
-                }
-                out
+                hypercube_pairs(max_dim, &[GraphKind::Mesh, GraphKind::Torus])
             }
-            Family::HypercubeTorus { max_dim } => {
-                let mut out = Vec::new();
-                for d in 2..=max_dim {
-                    let cube = match Grid::hypercube(d) {
-                        Ok(cube) => cube,
-                        Err(_) => break,
-                    };
-                    let n = cube.size();
-                    for host in grids_of_size(GraphKind::Torus, n, d) {
-                        // The all-2s torus is the hypercube itself; skip the
-                        // identity pair (its bound is just the edge count).
-                        if host.shape().is_binary() {
-                            continue;
-                        }
-                        out.push((cube.clone(), host));
-                    }
-                }
-                out
-            }
+            Family::HypercubeTorus { max_dim } => hypercube_pairs(max_dim, &[GraphKind::Torus]),
             Family::Random {
                 count,
                 max_size,
@@ -253,6 +219,24 @@ impl Family {
             }
         }
     }
+}
+
+/// `hypercube(d)` into every distinct host of each kind in `kinds` and size
+/// `2^d`, for `2 ≤ d ≤ max_dim`. The all-2s host is the hypercube itself,
+/// so those identity pairs are skipped.
+fn hypercube_pairs(max_dim: usize, kinds: &[GraphKind]) -> Vec<(Grid, Grid)> {
+    let mut out = Vec::new();
+    for d in 2..=max_dim {
+        let Ok(cube) = Grid::hypercube(d) else { break };
+        for &kind in kinds {
+            for host in grids_of_size(kind, cube.size(), d) {
+                if !host.shape().is_binary() {
+                    out.push((cube.clone(), host));
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The paper's summary-table pairs (Sections 3–5), the rows EXPERIMENTS.md
@@ -642,53 +626,40 @@ impl SweepPlan {
                 plan.families.push(parse_family(rest.trim(), line)?);
                 continue;
             }
-            let (key, value) = content
-                .split_once('=')
-                .ok_or_else(|| ExplabError::PlanParse {
+            let (key, value) = content.split_once('=').ok_or_else(|| {
+                parse_error(
                     line,
-                    message: format!("expected `key = value` or `family …`, got {content:?}"),
-                })?;
+                    format!("expected `key = value` or `family …`, got {content:?}"),
+                )
+            })?;
             let (key, value) = (key.trim(), value.trim());
             match key {
                 "name" => plan.name = value.to_string(),
-                "seed" => {
-                    plan.seed = value.parse().map_err(|_| ExplabError::PlanParse {
-                        line,
-                        message: format!("seed must be a u64, got {value:?}"),
-                    })?;
-                }
-                "rounds" => {
-                    plan.rounds = value.parse().map_err(|_| ExplabError::PlanParse {
-                        line,
-                        message: format!("rounds must be a usize, got {value:?}"),
-                    })?;
-                }
+                "seed" => plan.seed = parse_value(value, line, "seed must be a u64")?,
+                "rounds" => plan.rounds = parse_value(value, line, "rounds must be a usize")?,
                 "workloads" => {
-                    let mut specs = Vec::new();
-                    for name in value.split(',') {
-                        let name = name.trim();
-                        let spec = WorkloadSpec::from_name(name).ok_or_else(|| {
-                            ExplabError::PlanParse {
-                                line,
-                                message: format!("unknown workload {name:?}"),
-                            }
-                        })?;
-                        specs.push(spec);
-                    }
-                    plan.workloads = specs;
+                    plan.workloads = value
+                        .split(',')
+                        .map(|name| {
+                            let name = name.trim();
+                            WorkloadSpec::from_name(name).ok_or_else(|| {
+                                parse_error(line, format!("unknown workload {name:?}"))
+                            })
+                        })
+                        .collect::<Result<_>>()?;
                 }
                 "optimize" => {
                     plan.optimize = match value {
                         "none" => None,
                         name => {
                             let objective = ObjectiveKind::from_name(name).ok_or_else(|| {
-                                ExplabError::PlanParse {
+                                parse_error(
                                     line,
-                                    message: format!(
+                                    format!(
                                         "optimize must be none, congestion, \
                                          wirelength or makespan, got {name:?}"
                                     ),
-                                }
+                                )
                             })?;
                             Some(OptimSpec {
                                 objective,
@@ -700,176 +671,72 @@ impl SweepPlan {
                     };
                 }
                 "optim_steps" => {
-                    let steps = value.parse().map_err(|_| ExplabError::PlanParse {
-                        line,
-                        message: format!("optim_steps must be a u64, got {value:?}"),
-                    })?;
-                    optim_steps = Some(steps);
+                    optim_steps = Some(parse_value(value, line, "optim_steps must be a u64")?);
+                }
+                "optim_shards" => optim_shards = Some(parse_shards(key, value, line)?),
+                "optim_portfolio" => {
+                    // `bool`'s parser accepts exactly `true` and `false`.
+                    let expected = "optim_portfolio must be true or false";
+                    optim_portfolio = Some(parse_value(value, line, expected)?);
                 }
                 "wirelength" => {
                     plan.wirelength = match value {
                         "none" => None,
-                        steps => {
-                            let steps: u64 = steps.parse().map_err(|_| ExplabError::PlanParse {
-                                line,
-                                message: format!(
-                                    "wirelength must be none or an annealing step \
-                                         count, got {value:?}"
-                                ),
-                            })?;
-                            Some(WirelengthSpec {
+                        steps => Some(WirelengthSpec {
+                            steps: parse_value(
                                 steps,
-                                shards: DEFAULT_WIRELENGTH_SHARDS,
-                            })
-                        }
+                                line,
+                                "wirelength must be none or an annealing step count",
+                            )?,
+                            shards: DEFAULT_WIRELENGTH_SHARDS,
+                        }),
                     };
                 }
-                "wirelength_shards" => {
-                    let shards: u32 = value.parse().map_err(|_| ExplabError::PlanParse {
-                        line,
-                        message: format!("wirelength_shards must be a u32, got {value:?}"),
-                    })?;
-                    if shards == 0 {
-                        return Err(ExplabError::PlanParse {
-                            line,
-                            message: "wirelength_shards must be at least 1".into(),
-                        });
-                    }
-                    wirelength_shards = Some(shards);
-                }
+                "wirelength_shards" => wirelength_shards = Some(parse_shards(key, value, line)?),
                 "chaos" => {
                     plan.chaos = match value {
                         "none" => None,
-                        list => {
-                            let mut loss_percents = Vec::new();
-                            for entry in list.split(',').map(str::trim) {
-                                let percent: u32 =
-                                    entry.parse().map_err(|_| ExplabError::PlanParse {
-                                        line,
-                                        message: format!(
-                                            "chaos must be none or a list of loss \
-                                             percentages, got {entry:?}"
-                                        ),
-                                    })?;
-                                if percent == 0 || percent > 100 {
-                                    return Err(ExplabError::PlanParse {
-                                        line,
-                                        message: format!(
-                                            "chaos loss percentages must be in 1..=100, \
-                                             got {percent}"
-                                        ),
-                                    });
-                                }
-                                loss_percents.push(percent);
-                            }
-                            Some(ChaosSpec {
-                                loss_percents,
-                                tenants: Vec::new(),
-                            })
-                        }
+                        list => Some(ChaosSpec {
+                            loss_percents: parse_list(
+                                list,
+                                line,
+                                "chaos must be none or a list of loss percentages",
+                                1..=100,
+                                "chaos loss percentages must be in 1..=100",
+                            )?,
+                            tenants: Vec::new(),
+                        }),
                     };
                 }
                 "chaos_tenants" => {
-                    let mut tenants = Vec::new();
-                    for entry in value.split(',').map(str::trim) {
-                        let k: u32 = entry.parse().map_err(|_| ExplabError::PlanParse {
-                            line,
-                            message: format!(
-                                "chaos_tenants must be a list of tenant counts, got {entry:?}"
-                            ),
-                        })?;
-                        if k < 2 {
-                            return Err(ExplabError::PlanParse {
-                                line,
-                                message: format!(
-                                    "chaos_tenants entries must be at least 2, got {k}"
-                                ),
-                            });
-                        }
-                        tenants.push(k);
-                    }
-                    chaos_tenants = Some(tenants);
-                }
-                "optim_shards" => {
-                    let shards: u32 = value.parse().map_err(|_| ExplabError::PlanParse {
+                    chaos_tenants = Some(parse_list(
+                        value,
                         line,
-                        message: format!("optim_shards must be a u32, got {value:?}"),
-                    })?;
-                    if shards == 0 {
-                        return Err(ExplabError::PlanParse {
-                            line,
-                            message: "optim_shards must be at least 1".into(),
-                        });
-                    }
-                    optim_shards = Some(shards);
+                        "chaos_tenants must be a list of tenant counts",
+                        2..=u32::MAX,
+                        "chaos_tenants entries must be at least 2",
+                    )?);
                 }
-                "optim_portfolio" => {
-                    let portfolio = match value {
-                        "true" => true,
-                        "false" => false,
-                        _ => {
-                            return Err(ExplabError::PlanParse {
-                                line,
-                                message: format!(
-                                    "optim_portfolio must be true or false, got {value:?}"
-                                ),
-                            });
-                        }
-                    };
-                    optim_portfolio = Some(portfolio);
-                }
-                other => {
-                    return Err(ExplabError::PlanParse {
-                        line,
-                        message: format!("unknown key {other:?}"),
-                    });
-                }
+                other => return Err(parse_error(line, format!("unknown key {other:?}"))),
             }
         }
-        match (&mut plan.optimize, optim_steps) {
-            (Some(spec), Some(steps)) => spec.steps = steps,
-            (None, Some(_)) => {
-                return Err(ExplabError::InvalidPlan {
-                    message: "optim_steps requires an `optimize = <objective>` line".into(),
-                });
-            }
-            _ => {}
+        const NEEDS_OPTIMIZE: &str = "requires an `optimize = <objective>` line";
+        if let Some(steps) = optim_steps {
+            stage(&mut plan.optimize, "optim_steps", NEEDS_OPTIMIZE)?.steps = steps;
         }
-        match (&mut plan.optimize, optim_shards) {
-            (Some(spec), Some(shards)) => spec.shards = shards,
-            (None, Some(_)) => {
-                return Err(ExplabError::InvalidPlan {
-                    message: "optim_shards requires an `optimize = <objective>` line".into(),
-                });
-            }
-            _ => {}
+        if let Some(shards) = optim_shards {
+            stage(&mut plan.optimize, "optim_shards", NEEDS_OPTIMIZE)?.shards = shards;
         }
-        match (&mut plan.optimize, optim_portfolio) {
-            (Some(spec), Some(portfolio)) => spec.portfolio = portfolio,
-            (None, Some(_)) => {
-                return Err(ExplabError::InvalidPlan {
-                    message: "optim_portfolio requires an `optimize = <objective>` line".into(),
-                });
-            }
-            _ => {}
+        if let Some(portfolio) = optim_portfolio {
+            stage(&mut plan.optimize, "optim_portfolio", NEEDS_OPTIMIZE)?.portfolio = portfolio;
         }
-        match (&mut plan.wirelength, wirelength_shards) {
-            (Some(spec), Some(shards)) => spec.shards = shards,
-            (None, Some(_)) => {
-                return Err(ExplabError::InvalidPlan {
-                    message: "wirelength_shards requires a `wirelength = <steps>` line".into(),
-                });
-            }
-            _ => {}
+        if let Some(shards) = wirelength_shards {
+            let requirement = "requires a `wirelength = <steps>` line";
+            stage(&mut plan.wirelength, "wirelength_shards", requirement)?.shards = shards;
         }
-        match (&mut plan.chaos, chaos_tenants) {
-            (Some(spec), Some(tenants)) => spec.tenants = tenants,
-            (None, Some(_)) => {
-                return Err(ExplabError::InvalidPlan {
-                    message: "chaos_tenants requires a `chaos = <percent list>` line".into(),
-                });
-            }
-            _ => {}
+        if let Some(tenants) = chaos_tenants {
+            let requirement = "requires a `chaos = <percent list>` line";
+            stage(&mut plan.chaos, "chaos_tenants", requirement)?.tenants = tenants;
         }
         if plan.families.is_empty() {
             return Err(ExplabError::InvalidPlan {
@@ -880,28 +747,81 @@ impl SweepPlan {
     }
 }
 
+fn parse_error(line: usize, message: impl Into<String>) -> ExplabError {
+    ExplabError::PlanParse {
+        line,
+        message: message.into(),
+    }
+}
+
+/// Parses one plan value; a malformed value is reported as
+/// `"{expected}, got {value:?}"`.
+fn parse_value<T: FromStr>(value: &str, line: usize, expected: &str) -> Result<T> {
+    value
+        .parse()
+        .map_err(|_| parse_error(line, format!("{expected}, got {value:?}")))
+}
+
+/// Parses a `*_shards` value: a `u32` of at least 1.
+fn parse_shards(key: &str, value: &str, line: usize) -> Result<u32> {
+    let shards = parse_value(value, line, &format!("{key} must be a u32"))?;
+    if shards < 1 {
+        return Err(parse_error(line, format!("{key} must be at least 1")));
+    }
+    Ok(shards)
+}
+
+/// Parses a comma-separated list of `u32`s, each within `range`
+/// (`"{out_of_range}, got {entry}"` otherwise).
+fn parse_list(
+    value: &str,
+    line: usize,
+    expected: &str,
+    range: RangeInclusive<u32>,
+    out_of_range: &str,
+) -> Result<Vec<u32>> {
+    value
+        .split(',')
+        .map(|entry| {
+            let entry: u32 = parse_value(entry.trim(), line, expected)?;
+            if !range.contains(&entry) {
+                return Err(parse_error(line, format!("{out_of_range}, got {entry}")));
+            }
+            Ok(entry)
+        })
+        .collect()
+}
+
+/// The stage a dependent key configures, or an invalid-plan error
+/// (`"{key} {requirement}"`) when the plan leaves that stage off.
+fn stage<'a, S>(spec: &'a mut Option<S>, key: &str, requirement: &str) -> Result<&'a mut S> {
+    spec.as_mut().ok_or_else(|| ExplabError::InvalidPlan {
+        message: format!("{key} {requirement}"),
+    })
+}
+
 /// Parses one `family` line body: a family name followed by `key=value`
 /// arguments.
 fn parse_family(body: &str, line: usize) -> Result<Family> {
     let mut parts = body.split_whitespace();
-    let name = parts.next().ok_or_else(|| ExplabError::PlanParse {
-        line,
-        message: "missing family name".into(),
-    })?;
+    let name = parts
+        .next()
+        .ok_or_else(|| parse_error(line, "missing family name"))?;
     let mut args: Vec<(&str, &str)> = Vec::new();
     for part in parts {
-        let (key, value) = part.split_once('=').ok_or_else(|| ExplabError::PlanParse {
-            line,
-            message: format!("family argument {part:?} is not key=value"),
+        let (key, value) = part.split_once('=').ok_or_else(|| {
+            parse_error(line, format!("family argument {part:?} is not key=value"))
         })?;
         args.push((key, value));
     }
     let get = |key: &str, default: u64| -> Result<u64> {
         match args.iter().find(|(k, _)| *k == key) {
             None => Ok(default),
-            Some((_, value)) => value.parse().map_err(|_| ExplabError::PlanParse {
-                line,
-                message: format!("family argument {key}={value:?} is not an integer"),
+            Some((_, value)) => value.parse().map_err(|_| {
+                parse_error(
+                    line,
+                    format!("family argument {key}={value:?} is not an integer"),
+                )
             }),
         }
     };
@@ -930,12 +850,7 @@ fn parse_family(body: &str, line: usize) -> Result<Family> {
             max_size: get("max_size", 24)?,
             max_dim: get("max_dim", 3)? as usize,
         },
-        other => {
-            return Err(ExplabError::PlanParse {
-                line,
-                message: format!("unknown family {other:?}"),
-            });
-        }
+        other => return Err(parse_error(line, format!("unknown family {other:?}"))),
     };
     // Reject arguments the family does not understand.
     let known: &[&str] = match family {
@@ -947,10 +862,10 @@ fn parse_family(body: &str, line: usize) -> Result<Family> {
         Family::Random { .. } => &["count", "max_size", "max_dim"],
     };
     if let Some((key, _)) = args.iter().find(|(k, _)| !known.contains(k)) {
-        return Err(ExplabError::PlanParse {
+        return Err(parse_error(
             line,
-            message: format!("family {name:?} does not take argument {key:?}"),
-        });
+            format!("family {name:?} does not take argument {key:?}"),
+        ));
     }
     Ok(family)
 }

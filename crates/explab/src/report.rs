@@ -10,7 +10,7 @@ use gridviz::{Alignment, Table};
 use topology::{Grid, Shape};
 
 use crate::executor::SweepOutcome;
-use crate::trial::TrialRecord;
+use crate::trial::{ChaosMetrics, ChaosRun, TenantRow, TrialMetrics, TrialRecord};
 
 /// The three-way marker used in dilation tables: measured equals the bound,
 /// beats it, or violates it (the repo-wide convention of the `repro`
@@ -32,14 +32,40 @@ fn right(n: usize) -> Vec<Alignment> {
     alignments
 }
 
-/// Table: one row per family — coverage, violations and extreme measurements.
-pub fn family_overview(outcome: &SweepOutcome) -> Table {
-    let mut families: Vec<&'static str> = Vec::new();
+/// The families of the outcome's records, in first-appearance order (the
+/// row order of every per-family table).
+fn families(outcome: &SweepOutcome) -> Vec<&'static str> {
+    let mut families = Vec::new();
     for record in &outcome.records {
         if !families.contains(&record.family) {
             families.push(record.family);
         }
     }
+    families
+}
+
+/// The metrics of one family's supported trials.
+fn family_metrics<'a>(
+    outcome: &'a SweepOutcome,
+    family: &'a str,
+) -> impl Iterator<Item = &'a TrialMetrics> {
+    outcome
+        .records
+        .iter()
+        .filter(move |r| r.family == family)
+        .filter_map(TrialRecord::metrics)
+}
+
+/// The chaos-stage results of one family's supported trials (Tables 9
+/// and 10).
+fn family_chaos<'a>(outcome: &'a SweepOutcome, family: &'a str) -> Vec<&'a ChaosMetrics> {
+    family_metrics(outcome, family)
+        .filter_map(|m| m.chaos.as_ref())
+        .collect()
+}
+
+/// Table: one row per family — coverage, violations and extreme measurements.
+pub fn family_overview(outcome: &SweepOutcome) -> Table {
     let mut table = Table::new(vec![
         "family",
         "pairs",
@@ -51,7 +77,7 @@ pub fn family_overview(outcome: &SweepOutcome) -> Table {
         "max congestion (opt)",
     ])
     .with_alignments(right(7));
-    for family in families {
+    for family in families(outcome) {
         let records: Vec<&TrialRecord> = outcome
             .records
             .iter()
@@ -223,12 +249,6 @@ pub fn paper_workloads(outcome: &SweepOutcome) -> Table {
 /// over the family, so "improved" trials move the totals even when the
 /// family-wide maximum is unchanged.
 pub fn optimizer_comparison(outcome: &SweepOutcome) -> Table {
-    let mut families: Vec<&'static str> = Vec::new();
-    for record in &outcome.records {
-        if !families.contains(&record.family) {
-            families.push(record.family);
-        }
-    }
     let mut table = Table::new(vec![
         "family",
         "optimized trials",
@@ -238,12 +258,8 @@ pub fn optimizer_comparison(outcome: &SweepOutcome) -> Table {
         "reduction",
     ])
     .with_alignments(right(5));
-    for family in families {
-        let pairs: Vec<(u64, u64)> = outcome
-            .records
-            .iter()
-            .filter(|r| r.family == family)
-            .filter_map(|r| r.metrics())
+    for family in families(outcome) {
+        let pairs: Vec<(u64, u64)> = family_metrics(outcome, family)
             .filter_map(|m| {
                 m.optimized
                     .as_ref()
@@ -259,25 +275,30 @@ pub fn optimizer_comparison(outcome: &SweepOutcome) -> Table {
             .count();
         let before: u64 = pairs.iter().map(|(b, _)| b).sum();
         let after: u64 = pairs.iter().map(|(_, a)| a).sum();
-        // Signed difference: the congestion objective is monotone in max
-        // congestion, but the wirelength/makespan objectives may trade it
-        // away, and a negative reduction must render as such rather than
-        // underflow `before - after` in u64.
-        let reduction = if before == 0 {
-            0.0
-        } else {
-            100.0 * (before as f64 - after as f64) / before as f64
-        };
         table.push_row(vec![
             family.to_string(),
             pairs.len().to_string(),
             improved.to_string(),
             before.to_string(),
             after.to_string(),
-            format!("{reduction:.1}%"),
+            reduction(before, after),
         ]);
     }
     table
+}
+
+/// The signed percentage by which `after` undercuts `before` (`0.0%` for an
+/// empty `before`). Signed: the congestion objective is monotone in max
+/// congestion, but the wirelength/makespan objectives may trade it away, and
+/// a negative reduction must render as such rather than underflow
+/// `before - after` in u64.
+fn reduction(before: u64, after: u64) -> String {
+    let percent = if before == 0 {
+        0.0
+    } else {
+        100.0 * (before as f64 - after as f64) / before as f64
+    };
+    format!("{percent:.1}%")
 }
 
 /// Table: sharded annealing vs the sequential walk, one row per family.
@@ -289,12 +310,6 @@ pub fn optimizer_comparison(outcome: &SweepOutcome) -> Table {
 /// repertoires and hotter schedules of `ShardStrategy::Portfolio` (always 0
 /// under seed-only restarts, where every style is `"base"`).
 pub fn sharded_comparison(outcome: &SweepOutcome) -> Table {
-    let mut families: Vec<&'static str> = Vec::new();
-    for record in &outcome.records {
-        if !families.contains(&record.family) {
-            families.push(record.family);
-        }
-    }
     let mut table = Table::new(vec![
         "family",
         "trials",
@@ -306,12 +321,8 @@ pub fn sharded_comparison(outcome: &SweepOutcome) -> Table {
         "reduction",
     ])
     .with_alignments(right(7));
-    for family in families {
-        let rows: Vec<(u64, u64, u32, &'static str)> = outcome
-            .records
-            .iter()
-            .filter(|r| r.family == family)
-            .filter_map(|r| r.metrics())
+    for family in families(outcome) {
+        let rows: Vec<(u64, u64, u32, &'static str)> = family_metrics(outcome, family)
             .filter_map(|m| m.optimized.as_ref())
             // A single-shard run would compare the sequential walk against
             // itself — vacuous; the table only renders for real fan-outs.
@@ -339,11 +350,6 @@ pub fn sharded_comparison(outcome: &SweepOutcome) -> Table {
             .count();
         let sequential: u64 = rows.iter().map(|(seq, _, _, _)| seq).sum();
         let best: u64 = rows.iter().map(|(_, best, _, _)| best).sum();
-        let reduction = if sequential == 0 {
-            0.0
-        } else {
-            100.0 * (sequential as f64 - best as f64) / sequential as f64
-        };
         table.push_row(vec![
             family.to_string(),
             rows.len().to_string(),
@@ -352,7 +358,7 @@ pub fn sharded_comparison(outcome: &SweepOutcome) -> Table {
             portfolio_wins.to_string(),
             sequential.to_string(),
             best.to_string(),
-            format!("{reduction:.1}%"),
+            reduction(sequential, best),
         ]);
     }
     table
@@ -365,12 +371,6 @@ pub fn sharded_comparison(outcome: &SweepOutcome) -> Table {
 /// the pristine baseline: it must read `1.000`, `x1.00`, `0.0%` — any other
 /// value is a bound violation the executor would already have flagged.
 pub fn fault_tolerance(outcome: &SweepOutcome) -> Table {
-    let mut families: Vec<&'static str> = Vec::new();
-    for record in &outcome.records {
-        if !families.contains(&record.family) {
-            families.push(record.family);
-        }
-    }
     let mut table = Table::new(vec![
         "family",
         "link loss",
@@ -382,14 +382,8 @@ pub fn fault_tolerance(outcome: &SweepOutcome) -> Table {
         "detour overhead",
     ])
     .with_alignments(right(7));
-    for family in families {
-        let chaotic: Vec<&crate::trial::ChaosMetrics> = outcome
-            .records
-            .iter()
-            .filter(|r| r.family == family)
-            .filter_map(|r| r.metrics())
-            .filter_map(|m| m.chaos.as_ref())
-            .collect();
+    for family in families(outcome) {
+        let chaotic = family_chaos(outcome, family);
         if chaotic.is_empty() {
             continue;
         }
@@ -415,7 +409,7 @@ pub fn fault_tolerance(outcome: &SweepOutcome) -> Table {
                 let m = sum_runs(&chaotic, loss, |run| run.messages, true);
                 let c = sum_runs(&chaotic, loss, |run| run.cycles, true);
                 (
-                    format!("{:.3}", fraction(d, m)),
+                    format!("{:.3}", ratio(d, m)),
                     format!("x{:.2}", ratio(c, baseline_opt)),
                 )
             } else {
@@ -425,11 +419,11 @@ pub fn fault_tolerance(outcome: &SweepOutcome) -> Table {
                 family.to_string(),
                 format!("{loss}%"),
                 chaotic.len().to_string(),
-                format!("{:.3}", fraction(delivered, messages)),
+                format!("{:.3}", ratio(delivered, messages)),
                 delivered_opt,
                 format!("x{:.2}", ratio(cycles, baseline_cycles)),
                 makespan_opt,
-                format!("{:.1}%", 100.0 * fraction(detour, hops.max(1))),
+                format!("{:.1}%", 100.0 * ratio(detour, hops.max(1))),
             ]);
         }
     }
@@ -439,9 +433,9 @@ pub fn fault_tolerance(outcome: &SweepOutcome) -> Table {
 /// Sums `field` of the `loss`-level fault row over every trial's chaos
 /// metrics — the constructive run, or the optimized one when `optimized`.
 fn sum_runs(
-    chaotic: &[&crate::trial::ChaosMetrics],
+    chaotic: &[&ChaosMetrics],
     loss: u32,
-    field: impl Fn(&crate::trial::ChaosRun) -> u64,
+    field: impl Fn(&ChaosRun) -> u64,
     optimized: bool,
 ) -> u64 {
     chaotic
@@ -459,14 +453,7 @@ fn sum_runs(
         .sum()
 }
 
-fn fraction(numerator: u64, denominator: u64) -> f64 {
-    if denominator == 0 {
-        1.0
-    } else {
-        numerator as f64 / denominator as f64
-    }
-}
-
+/// `value / baseline`, or `1.0` for an empty baseline.
 fn ratio(value: u64, baseline: u64) -> f64 {
     if baseline == 0 {
         1.0
@@ -481,12 +468,6 @@ fn ratio(value: u64, baseline: u64) -> f64 {
 /// tenant 0 running alone. FIFO link arbitration makes `x >= 1.00` a hard
 /// invariant, re-checked per record by `bound_ok`.
 pub fn tenant_contention(outcome: &SweepOutcome) -> Table {
-    let mut families: Vec<&'static str> = Vec::new();
-    for record in &outcome.records {
-        if !families.contains(&record.family) {
-            families.push(record.family);
-        }
-    }
     let mut table = Table::new(vec![
         "family",
         "tenants",
@@ -497,20 +478,14 @@ pub fn tenant_contention(outcome: &SweepOutcome) -> Table {
         "contention",
     ])
     .with_alignments(right(6));
-    for family in families {
-        let chaotic: Vec<&crate::trial::ChaosMetrics> = outcome
-            .records
-            .iter()
-            .filter(|r| r.family == family)
-            .filter_map(|r| r.metrics())
-            .filter_map(|m| m.chaos.as_ref())
-            .collect();
+    for family in families(outcome) {
+        let chaotic = family_chaos(outcome, family);
         let counts: Vec<u32> = chaotic
             .first()
             .map(|c| c.tenant_rows.iter().map(|row| row.tenants).collect())
             .unwrap_or_default();
         for &tenants in &counts {
-            let rows: Vec<&crate::trial::TenantRow> = chaotic
+            let rows: Vec<&TenantRow> = chaotic
                 .iter()
                 .flat_map(|c| c.tenant_rows.iter())
                 .filter(|row| row.tenants == tenants)
@@ -535,9 +510,6 @@ pub fn tenant_contention(outcome: &SweepOutcome) -> Table {
     table
 }
 
-/// The fixed multi-step chains EXPERIMENTS.md reports: endpoints the planner
-/// also covers directly, routed through explicit intermediate graphs so the
-/// per-step dilations and the multiplicative bound are visible.
 /// Table: the cross-paper wirelength comparison, one row per hypercube-guest
 /// trial that ran the wirelength stage — the 1987 constructive embedding's
 /// total routed wirelength, the best a sharded annealing search under the
@@ -578,6 +550,9 @@ pub fn wirelength_table(outcome: &SweepOutcome) -> Table {
     table
 }
 
+/// The fixed multi-step chains EXPERIMENTS.md reports: endpoints the planner
+/// also covers directly, routed through explicit intermediate graphs so the
+/// per-step dilations and the multiplicative bound are visible.
 fn report_chains() -> Vec<(&'static str, Grid, Vec<Grid>, Grid)> {
     let shape = |radices: &[u32]| Shape::new(radices.to_vec()).expect("valid shape");
     vec![

@@ -6,17 +6,24 @@
 //! chain report, and one `netsim` run per applicable workload — and collects
 //! everything into a flat [`TrialRecord`] that serializes to one JSON line.
 //!
+//! The optional stages the plan switches on (optimize, wirelength, chaos)
+//! each produce one result type — [`OptimizedMetrics`],
+//! [`WirelengthMetrics`], [`ChaosMetrics`] — that writes its own JSON object
+//! (`to_json`) and checks its own invariants (`is_consistent`), so
+//! [`TrialRecord::to_json_line`] and [`TrialRecord::bound_ok`] are the base
+//! fields plus one line per stage.
+//!
 //! A pair the paper's constructions do not cover is a first-class outcome
 //! ([`TrialOutcome::Unsupported`]), not an error: sweeps over whole families
 //! must keep going and report coverage honestly.
 
 use embeddings::auto::{embed, predicted_dilation};
 use embeddings::chain::{ChainReport, ChainStep};
-use embeddings::congestion::congestion_sequential;
+use embeddings::congestion::{congestion_sequential, CongestionReport};
 use embeddings::lower_bound::wirelength_lower_bound;
 use embeddings::optim::parallel::{optimize_sharded, ShardStrategy, ShardedConfig, ShardedOutcome};
 use embeddings::optim::{CongestionObjective, Objective, OptimizerConfig, WirelengthObjective};
-use embeddings::verify::verify_sequential;
+use embeddings::verify::{verify_sequential, VerificationReport};
 use embeddings::{Embedding, Plan};
 use netsim::chaos::{simulate_chaos, ChaosRouting, FaultPlan};
 use netsim::optimize::MakespanObjective;
@@ -25,12 +32,15 @@ use netsim::traffic::multi_tenant;
 use netsim::{patterns, Network, Workload};
 use topology::Grid;
 
+use crate::executor::splitmix64;
 use crate::json::{array, Object};
-use crate::plan::{ChaosSpec, ObjectiveKind, OptimSpec, WirelengthSpec, WorkloadSpec};
+use crate::plan::{ChaosSpec, ObjectiveKind, OptimSpec, SweepPlan, WirelengthSpec, WorkloadSpec};
 
-/// The input of one trial, produced by expanding a plan.
+/// The input of one trial, produced by expanding a plan. The plan-wide
+/// settings (rounds, workloads and the optional stages) are read from the
+/// borrowed plan rather than copied into every trial.
 #[derive(Clone, Debug)]
-pub struct TrialSpec {
+pub struct TrialSpec<'a> {
     /// Position of the trial in the expanded plan (stable across worker
     /// counts; the JSONL line order).
     pub id: usize,
@@ -42,20 +52,8 @@ pub struct TrialSpec {
     pub host: Grid,
     /// The trial's private seed, derived from the plan seed and `id`.
     pub seed: u64,
-    /// Simulated rounds per workload.
-    pub rounds: usize,
-    /// The workloads to simulate.
-    pub workloads: Vec<WorkloadSpec>,
-    /// When set, refine the placement with the local-search optimizer and
-    /// record constructive-vs-optimized measurements.
-    pub optimize: Option<OptimSpec>,
-    /// When set, anneal hypercube-guest trials under the wirelength
-    /// objective and record the constructive / annealed / Tang-bound
-    /// comparison (Table 11). Silently skipped for non-hypercube guests.
-    pub wirelength: Option<WirelengthSpec>,
-    /// When set, re-simulate the placement under seeded link loss and
-    /// multi-tenant contention and record degraded-operation rows.
-    pub chaos: Option<ChaosSpec>,
+    /// The plan the trial was expanded from.
+    pub plan: &'a SweepPlan,
 }
 
 /// One workload's simulation results.
@@ -132,6 +130,47 @@ pub struct OptimizedMetrics {
     pub injective: bool,
 }
 
+impl OptimizedMetrics {
+    /// Whether the row is consistent: the refined table verified injective
+    /// and, under the congestion objective, its independently measured max
+    /// congestion does not exceed `constructive_congestion` (the
+    /// optimizer's monotone guarantee, re-checked from the outside).
+    pub fn is_consistent(&self, constructive_congestion: u64) -> bool {
+        self.injective
+            && (self.objective != "congestion" || self.max_congestion <= constructive_congestion)
+    }
+
+    /// The stage's JSON object (the record's `optimized` field).
+    pub(crate) fn to_json(&self) -> String {
+        let shard_reports = array(self.shard_reports.iter().map(|s| {
+            Object::new()
+                .u64("shard", u64::from(s.shard))
+                .u64("seed", s.seed)
+                .string("style", s.style)
+                .u64("best_primary", s.best_primary)
+                .u64("best_secondary", s.best_secondary)
+                .u64("accepted", s.accepted)
+                .u64("improvements", s.improvements)
+                .finish()
+        }));
+        Object::new()
+            .string("objective", self.objective)
+            .u64("steps", self.steps)
+            .u64("accepted", self.accepted)
+            .u64("improvements", self.improvements)
+            .u64("shards", u64::from(self.shards))
+            .u64("winner_shard", u64::from(self.winner_shard))
+            .u64("winner_seed", self.winner_seed)
+            .raw("shard_reports", shard_reports)
+            .u64("max_congestion", self.max_congestion)
+            .f64("average_congestion", self.average_congestion)
+            .u64("measured_dilation", self.measured_dilation)
+            .f64("average_dilation", self.average_dilation)
+            .bool("injective", self.injective)
+            .finish()
+    }
+}
+
 /// The wirelength stage's measurements for a hypercube-guest trial: the
 /// constructive placement's total routed wirelength, the best wirelength a
 /// sharded annealing search under [`WirelengthObjective`] found, and Tang's
@@ -171,6 +210,20 @@ impl WirelengthMetrics {
             && self.constructive >= self.bound
             && self.optimized >= self.bound
             && self.optimized <= self.constructive
+    }
+
+    /// The stage's JSON object (the record's `wirelength` field).
+    pub(crate) fn to_json(&self) -> String {
+        Object::new()
+            .u64("steps", self.steps)
+            .u64("shards", u64::from(self.shards))
+            .u64("winner_shard", u64::from(self.winner_shard))
+            .u64("winner_seed", self.winner_seed)
+            .u64("constructive", self.constructive)
+            .u64("optimized", self.optimized)
+            .u64("bound", self.bound)
+            .bool("injective", self.injective)
+            .finish()
     }
 }
 
@@ -252,6 +305,73 @@ pub struct ChaosMetrics {
     pub fault_rows: Vec<FaultRow>,
     /// One row per tenant count, ascending.
     pub tenant_rows: Vec<TenantRow>,
+}
+
+impl ChaosMetrics {
+    /// Whether the rows are consistent: every fault row conserves messages
+    /// (`delivered + dropped == messages`), the 0% baseline row is pristine
+    /// and reproduces the unfaulted `neighbor` workload run bit for bit
+    /// (same messages, hops and makespan), and every contention row costs
+    /// at least its solo floor.
+    pub fn is_consistent(&self, neighbor: Option<&WorkloadResult>) -> bool {
+        let conserves = |run: &ChaosRun| run.delivered + run.dropped == run.messages;
+        let rows_ok = self.fault_rows.iter().all(|row| {
+            conserves(&row.constructive) && row.optimized.as_ref().is_none_or(conserves)
+        });
+        let baseline_ok = self.fault_rows.first().is_none_or(|row| {
+            let pristine = |run: &ChaosRun| run.dropped == 0 && run.detour_hops == 0;
+            let matches_neighbor = neighbor.is_none_or(|w| {
+                row.constructive.messages == w.messages
+                    && row.constructive.total_hops == w.total_hops
+                    && row.constructive.cycles == w.cycles
+            });
+            row.loss_percent == 0
+                && pristine(&row.constructive)
+                && row.optimized.as_ref().is_none_or(pristine)
+                && matches_neighbor
+        });
+        let tenants_ok = self
+            .tenant_rows
+            .iter()
+            .all(|row| row.cycles >= row.solo_cycles);
+        rows_ok && baseline_ok && tenants_ok
+    }
+
+    /// The stage's JSON object (the record's `chaos` field).
+    pub(crate) fn to_json(&self) -> String {
+        let run_json = |run: &ChaosRun| {
+            Object::new()
+                .u64("messages", run.messages)
+                .u64("delivered", run.delivered)
+                .u64("dropped", run.dropped)
+                .u64("total_hops", run.total_hops)
+                .u64("detour_hops", run.detour_hops)
+                .u64("cycles", run.cycles)
+                .f64("delivered_fraction", run.delivered_fraction())
+                .finish()
+        };
+        let faults = array(self.fault_rows.iter().map(|row| {
+            let mut fault = Object::new()
+                .u64("loss_percent", u64::from(row.loss_percent))
+                .raw("constructive", run_json(&row.constructive));
+            if let Some(optimized) = &row.optimized {
+                fault = fault.raw("optimized", run_json(optimized));
+            }
+            fault.finish()
+        }));
+        let tenants = array(self.tenant_rows.iter().map(|row| {
+            Object::new()
+                .u64("tenants", u64::from(row.tenants))
+                .u64("messages", row.messages)
+                .u64("cycles", row.cycles)
+                .u64("solo_cycles", row.solo_cycles)
+                .finish()
+        }));
+        Object::new()
+            .raw("faults", faults)
+            .raw("tenants", tenants)
+            .finish()
+    }
 }
 
 /// The measurements of a supported pair.
@@ -343,45 +463,28 @@ impl TrialRecord {
     /// Whether the trial honors the theorem's bound: unsupported trials
     /// vacuously do; supported trials must measure a dilation within the
     /// prediction *and* a chain within its multiplicative bound *and* verify
-    /// injective. When the optimizer stage ran, the refined placement must
-    /// additionally verify injective, and under the congestion objective its
-    /// independently measured max congestion must not exceed the
-    /// constructive embedding's (the optimizer's monotone guarantee,
-    /// re-checked from the outside). When the wirelength stage ran, both the
-    /// constructive and the annealed wirelength must respect Tang's exact
-    /// lower bound and the annealed one must not exceed the constructive
-    /// one (see [`WirelengthMetrics::is_consistent`]). When the chaos stage
-    /// ran, every fault
-    /// row must conserve messages (`delivered + dropped == messages`), the
-    /// 0% baseline row must reproduce the unfaulted neighbor-exchange
-    /// simulation bit for bit (no drops, no detours, the same makespan),
-    /// and every contention row must cost at least its solo floor.
+    /// injective, and every stage that ran must pass its own
+    /// `is_consistent` check ([`OptimizedMetrics::is_consistent`],
+    /// [`WirelengthMetrics::is_consistent`], [`ChaosMetrics::is_consistent`]).
     pub fn bound_ok(&self) -> bool {
-        match self.metrics() {
-            None => true,
-            Some(m) => {
-                let constructive_ok = m.injective
-                    && m.measured_dilation <= m.predicted_dilation
-                    && m.chain.within_bound();
-                let optimized_ok = match &m.optimized {
-                    None => true,
-                    Some(o) => {
-                        o.injective
-                            && (o.objective != "congestion" || o.max_congestion <= m.max_congestion)
-                    }
-                };
-                let wirelength_ok = m
-                    .wirelength
+        self.metrics().is_none_or(|m| {
+            let neighbor = m.workloads.iter().find(|w| w.workload == "neighbor");
+            m.injective
+                && m.measured_dilation <= m.predicted_dilation
+                && m.chain.within_bound()
+                && m.optimized
                     .as_ref()
-                    .is_none_or(WirelengthMetrics::is_consistent);
-                constructive_ok && optimized_ok && wirelength_ok && chaos_ok(m)
-            }
-        }
+                    .is_none_or(|o| o.is_consistent(m.max_congestion))
+                && m.wirelength
+                    .as_ref()
+                    .is_none_or(WirelengthMetrics::is_consistent)
+                && m.chaos.as_ref().is_none_or(|c| c.is_consistent(neighbor))
+        })
     }
 
     /// Serializes the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut object = Object::new()
+        let object = Object::new()
             .u64("id", self.id as u64)
             .string("family", self.family)
             .string("guest", &self.guest)
@@ -390,163 +493,60 @@ impl TrialRecord {
             .u64("seed", self.seed)
             .bool("supported", self.is_supported())
             .bool("bound_ok", self.bound_ok());
-        match &self.outcome {
+        let m = match &self.outcome {
             TrialOutcome::Unsupported { reason } => {
-                object = object.string("reason", reason);
+                return object.string("reason", reason).finish()
             }
-            TrialOutcome::Supported(m) => {
-                let steps = array(m.chain.steps.iter().map(|step| {
-                    Object::new()
-                        .string("name", &step.name)
-                        .string("guest", &step.guest)
-                        .string("host", &step.host)
-                        .u64("dilation", step.dilation)
-                        .finish()
-                }));
-                let chain = Object::new()
-                    .raw("steps", steps)
-                    .u64("product_bound", m.chain.product_bound)
-                    .u64("composed_dilation", m.chain.composed_dilation)
-                    .bool("within_bound", m.chain.within_bound())
-                    .finish();
-                let workloads = array(m.workloads.iter().map(|w| {
-                    Object::new()
-                        .string("workload", w.workload)
-                        .u64("messages", w.messages)
-                        .u64("total_hops", w.total_hops)
-                        .u64("max_hops", w.max_hops)
-                        .f64("average_hops", w.average_hops)
-                        .u64("cycles", w.cycles)
-                        .finish()
-                }));
-                object = object
-                    .string("construction", &m.construction)
-                    .string("plan", &m.plan)
-                    .u64("predicted_dilation", m.predicted_dilation)
-                    .u64("measured_dilation", m.measured_dilation)
-                    .f64("average_dilation", m.average_dilation)
-                    .bool("injective", m.injective)
-                    .u64("guest_edges", m.guest_edges)
-                    .u64("max_congestion", m.max_congestion)
-                    .f64("average_congestion", m.average_congestion)
-                    .u64("used_host_links", m.used_host_links)
-                    .raw("chain", chain)
-                    .raw("workloads", workloads);
-                if let Some(o) = &m.optimized {
-                    let shard_reports = array(o.shard_reports.iter().map(|s| {
-                        Object::new()
-                            .u64("shard", u64::from(s.shard))
-                            .u64("seed", s.seed)
-                            .string("style", s.style)
-                            .u64("best_primary", s.best_primary)
-                            .u64("best_secondary", s.best_secondary)
-                            .u64("accepted", s.accepted)
-                            .u64("improvements", s.improvements)
-                            .finish()
-                    }));
-                    let optimized = Object::new()
-                        .string("objective", o.objective)
-                        .u64("steps", o.steps)
-                        .u64("accepted", o.accepted)
-                        .u64("improvements", o.improvements)
-                        .u64("shards", u64::from(o.shards))
-                        .u64("winner_shard", u64::from(o.winner_shard))
-                        .u64("winner_seed", o.winner_seed)
-                        .raw("shard_reports", shard_reports)
-                        .u64("max_congestion", o.max_congestion)
-                        .f64("average_congestion", o.average_congestion)
-                        .u64("measured_dilation", o.measured_dilation)
-                        .f64("average_dilation", o.average_dilation)
-                        .bool("injective", o.injective)
-                        .finish();
-                    object = object.raw("optimized", optimized);
-                }
-                if let Some(w) = &m.wirelength {
-                    let wirelength = Object::new()
-                        .u64("steps", w.steps)
-                        .u64("shards", u64::from(w.shards))
-                        .u64("winner_shard", u64::from(w.winner_shard))
-                        .u64("winner_seed", w.winner_seed)
-                        .u64("constructive", w.constructive)
-                        .u64("optimized", w.optimized)
-                        .u64("bound", w.bound)
-                        .bool("injective", w.injective)
-                        .finish();
-                    object = object.raw("wirelength", wirelength);
-                }
-                if let Some(c) = &m.chaos {
-                    let run_json = |run: &ChaosRun| {
-                        Object::new()
-                            .u64("messages", run.messages)
-                            .u64("delivered", run.delivered)
-                            .u64("dropped", run.dropped)
-                            .u64("total_hops", run.total_hops)
-                            .u64("detour_hops", run.detour_hops)
-                            .u64("cycles", run.cycles)
-                            .f64("delivered_fraction", run.delivered_fraction())
-                            .finish()
-                    };
-                    let faults = array(c.fault_rows.iter().map(|row| {
-                        let mut fault = Object::new()
-                            .u64("loss_percent", u64::from(row.loss_percent))
-                            .raw("constructive", run_json(&row.constructive));
-                        if let Some(optimized) = &row.optimized {
-                            fault = fault.raw("optimized", run_json(optimized));
-                        }
-                        fault.finish()
-                    }));
-                    let tenants = array(c.tenant_rows.iter().map(|row| {
-                        Object::new()
-                            .u64("tenants", u64::from(row.tenants))
-                            .u64("messages", row.messages)
-                            .u64("cycles", row.cycles)
-                            .u64("solo_cycles", row.solo_cycles)
-                            .finish()
-                    }));
-                    let chaos = Object::new()
-                        .raw("faults", faults)
-                        .raw("tenants", tenants)
-                        .finish();
-                    object = object.raw("chaos", chaos);
-                }
-            }
+            TrialOutcome::Supported(m) => m,
+        };
+        let steps = array(m.chain.steps.iter().map(|step| {
+            Object::new()
+                .string("name", &step.name)
+                .string("guest", &step.guest)
+                .string("host", &step.host)
+                .u64("dilation", step.dilation)
+                .finish()
+        }));
+        let chain = Object::new()
+            .raw("steps", steps)
+            .u64("product_bound", m.chain.product_bound)
+            .u64("composed_dilation", m.chain.composed_dilation)
+            .bool("within_bound", m.chain.within_bound())
+            .finish();
+        let workloads = array(m.workloads.iter().map(|w| {
+            Object::new()
+                .string("workload", w.workload)
+                .u64("messages", w.messages)
+                .u64("total_hops", w.total_hops)
+                .u64("max_hops", w.max_hops)
+                .f64("average_hops", w.average_hops)
+                .u64("cycles", w.cycles)
+                .finish()
+        }));
+        let mut object = object
+            .string("construction", &m.construction)
+            .string("plan", &m.plan)
+            .u64("predicted_dilation", m.predicted_dilation)
+            .u64("measured_dilation", m.measured_dilation)
+            .f64("average_dilation", m.average_dilation)
+            .bool("injective", m.injective)
+            .u64("guest_edges", m.guest_edges)
+            .u64("max_congestion", m.max_congestion)
+            .f64("average_congestion", m.average_congestion)
+            .u64("used_host_links", m.used_host_links)
+            .raw("chain", chain)
+            .raw("workloads", workloads);
+        if let Some(optimized) = &m.optimized {
+            object = object.raw("optimized", optimized.to_json());
+        }
+        if let Some(wirelength) = &m.wirelength {
+            object = object.raw("wirelength", wirelength.to_json());
+        }
+        if let Some(chaos) = &m.chaos {
+            object = object.raw("chaos", chaos.to_json());
         }
         object.finish()
     }
-}
-
-/// The chaos half of [`TrialRecord::bound_ok`]: message conservation on
-/// every fault row, bit-identity of the 0% baseline with the unfaulted
-/// neighbor-exchange run, and contention never cheaper than running solo.
-fn chaos_ok(m: &TrialMetrics) -> bool {
-    let Some(c) = &m.chaos else {
-        return true;
-    };
-    let conserves = |run: &ChaosRun| run.delivered + run.dropped == run.messages;
-    let rows_ok = c
-        .fault_rows
-        .iter()
-        .all(|row| conserves(&row.constructive) && row.optimized.as_ref().is_none_or(conserves));
-    let baseline_ok = c.fault_rows.first().is_none_or(|row| {
-        let pristine = |run: &ChaosRun| run.dropped == 0 && run.detour_hops == 0;
-        let matches_neighbor = match m.workloads.iter().find(|w| w.workload == "neighbor") {
-            None => true,
-            Some(w) => {
-                row.constructive.messages == w.messages
-                    && row.constructive.total_hops == w.total_hops
-                    && row.constructive.cycles == w.cycles
-            }
-        };
-        row.loss_percent == 0
-            && pristine(&row.constructive)
-            && row.optimized.as_ref().is_none_or(pristine)
-            && matches_neighbor
-    });
-    let tenants_ok = c
-        .tenant_rows
-        .iter()
-        .all(|row| row.cycles >= row.solo_cycles);
-    rows_ok && baseline_ok && tenants_ok
 }
 
 /// Builds the workload a spec denotes for a guest of `guest.size()` tasks,
@@ -585,46 +585,34 @@ pub fn build_workload(spec: WorkloadSpec, guest: &Grid, seed: u64) -> Option<Wor
 
 /// Runs one trial to completion. Never panics on unsupported pairs — they
 /// come back as [`TrialOutcome::Unsupported`].
-pub fn run_trial(spec: &TrialSpec) -> TrialRecord {
-    let record = |outcome: TrialOutcome| TrialRecord {
+pub fn run_trial(spec: &TrialSpec<'_>) -> TrialRecord {
+    TrialRecord {
         id: spec.id,
         family: spec.family,
         guest: spec.guest.to_string(),
         host: spec.host.to_string(),
         nodes: spec.guest.size(),
         seed: spec.seed,
-        outcome,
-    };
+        outcome: match measure(spec) {
+            Ok(metrics) => TrialOutcome::Supported(Box::new(metrics)),
+            Err(reason) => TrialOutcome::Unsupported { reason },
+        },
+    }
+}
 
-    let predicted = match predicted_dilation(&spec.guest, &spec.host) {
-        Ok(predicted) => predicted,
-        Err(error) => {
-            return record(TrialOutcome::Unsupported {
-                reason: error.to_string(),
-            });
-        }
-    };
-    let embedding = match embed(&spec.guest, &spec.host) {
-        Ok(embedding) => embedding,
-        Err(error) => {
-            return record(TrialOutcome::Unsupported {
-                reason: error.to_string(),
-            });
-        }
-    };
+/// Measures a trial's pair and every stage its plan enables; the error is
+/// the reason the pair is unsupported.
+fn measure(spec: &TrialSpec<'_>) -> Result<TrialMetrics, String> {
+    let plan = spec.plan;
+    let predicted = predicted_dilation(&spec.guest, &spec.host).map_err(|e| e.to_string())?;
+    let embedding = embed(&spec.guest, &spec.host).map_err(|e| e.to_string())?;
 
     // Independent verification and congestion on the batched sequential
     // sweeps: bit-identical to the parallel paths by construction, and the
     // executor already parallelizes across trials.
     let verification = verify_sequential(&embedding);
-    let congestion = match congestion_sequential(&embedding) {
-        Ok(congestion) => congestion,
-        Err(error) => {
-            return record(TrialOutcome::Unsupported {
-                reason: format!("congestion measurement failed: {error}"),
-            });
-        }
-    };
+    let congestion = congestion_sequential(&embedding)
+        .map_err(|e| format!("congestion measurement failed: {e}"))?;
 
     // The single-step chain report, assembled from the verification sweep:
     // `EmbeddingChain::through(guest, &[], host)` would invoke the same
@@ -643,67 +631,46 @@ pub fn run_trial(spec: &TrialSpec) -> TrialRecord {
         composed_dilation: verification.dilation,
     };
 
-    let optimized = match spec.optimize {
-        None => None,
-        Some(optim_spec) => match optimize_trial(spec, &embedding, optim_spec) {
-            Ok(result) => Some(result),
-            Err(error) => {
-                return record(TrialOutcome::Unsupported {
-                    reason: format!("optimizer failed: {error}"),
-                });
-            }
-        },
-    };
-
-    let wirelength = match spec.wirelength {
-        // The Tang bound only covers hypercube guests; the stage silently
-        // skips other pairs so mixed-family sweeps keep a single plan.
-        Some(wl_spec) if spec.guest.is_hypercube() => {
-            match wirelength_trial(spec, &embedding, congestion.total_path_length, wl_spec) {
-                Ok(result) => Some(result),
-                Err(error) => {
-                    return record(TrialOutcome::Unsupported {
-                        reason: format!("wirelength stage failed: {error}"),
-                    });
-                }
-            }
-        }
-        _ => None,
-    };
+    let optimized = plan
+        .optimize
+        .map(|optim_spec| optimize_trial(spec, &embedding, optim_spec))
+        .transpose()
+        .map_err(|e| format!("optimizer failed: {e}"))?;
+    // The Tang bound only covers hypercube guests; the stage silently skips
+    // other pairs so mixed-family sweeps keep a single plan.
+    let wirelength = plan
+        .wirelength
+        .filter(|_| spec.guest.is_hypercube())
+        .map(|wl_spec| wirelength_trial(spec, &embedding, congestion.total_path_length, wl_spec))
+        .transpose()
+        .map_err(|e| format!("wirelength stage failed: {e}"))?;
 
     let network = Network::new(spec.host.clone());
     let placement = Placement::from_embedding(&embedding);
-    let mut workloads = Vec::with_capacity(spec.workloads.len());
-    for &workload_spec in &spec.workloads {
-        let Some(workload) = build_workload(workload_spec, &spec.guest, spec.seed) else {
-            continue;
-        };
-        let stats = simulate(&network, &workload, &placement, spec.rounds);
-        workloads.push(WorkloadResult {
-            workload: workload_spec.name(),
-            messages: stats.messages,
-            total_hops: stats.total_hops,
-            max_hops: stats.max_hops,
-            average_hops: stats.average_hops(),
-            cycles: stats.cycles,
-        });
-    }
+    let workloads = plan
+        .workloads
+        .iter()
+        .filter_map(|&workload_spec| {
+            let workload = build_workload(workload_spec, &spec.guest, spec.seed)?;
+            let stats = simulate(&network, &workload, &placement, plan.rounds);
+            Some(WorkloadResult {
+                workload: workload_spec.name(),
+                messages: stats.messages,
+                total_hops: stats.total_hops,
+                max_hops: stats.max_hops,
+                average_hops: stats.average_hops(),
+                cycles: stats.cycles,
+            })
+        })
+        .collect();
 
-    let (optimized, optimized_placement) = match optimized {
-        None => (None, None),
-        Some((metrics, refined)) => (Some(metrics), Some(refined)),
-    };
-    let chaos = spec.chaos.as_ref().map(|chaos_spec| {
-        chaos_metrics(
-            spec,
-            chaos_spec,
-            &network,
-            &placement,
-            optimized_placement.as_ref(),
-        )
-    });
+    let (optimized, refined) = optimized.unzip();
+    let chaos = plan
+        .chaos
+        .as_ref()
+        .map(|c| chaos_metrics(spec, c, &network, &placement, refined.as_ref()));
 
-    record(TrialOutcome::Supported(Box::new(TrialMetrics {
+    Ok(TrialMetrics {
         construction: embedding.name().to_string(),
         // The plan is described from the already-built embedding (not
         // re-planned): same fields `Plan::closed_form` would record.
@@ -721,7 +688,7 @@ pub fn run_trial(spec: &TrialSpec) -> TrialRecord {
         optimized,
         wirelength,
         chaos,
-    })))
+    })
 }
 
 /// Runs the chaos stage of one trial: the guest's neighbor-exchange traffic
@@ -732,12 +699,13 @@ pub fn run_trial(spec: &TrialSpec) -> TrialRecord {
 /// from the trial seed and the loss level, so records stay bit-identical
 /// for any worker count.
 fn chaos_metrics(
-    spec: &TrialSpec,
+    spec: &TrialSpec<'_>,
     chaos_spec: &ChaosSpec,
     network: &Network,
     constructive: &Placement,
     optimized: Option<&Placement>,
 ) -> ChaosMetrics {
+    let rounds = spec.plan.rounds;
     let neighbor = build_workload(WorkloadSpec::Neighbor, &spec.guest, spec.seed)
         .expect("the neighbor exchange applies to every guest");
 
@@ -754,9 +722,7 @@ fn chaos_metrics(
             } else {
                 // Decorrelate the fault draws from the trial's workload and
                 // optimizer seeds, and from the other loss levels.
-                let seed = crate::executor::splitmix64(
-                    spec.seed ^ 0xfa17_ed11_4b5e_5eed ^ u64::from(loss),
-                );
+                let seed = splitmix64(spec.seed ^ 0xfa17_ed11_4b5e_5eed ^ u64::from(loss));
                 FaultPlan::random_link_percent(network.grid(), loss, seed)
             };
             let run = |placement: &Placement| {
@@ -764,7 +730,7 @@ fn chaos_metrics(
                     network,
                     &neighbor,
                     placement,
-                    spec.rounds,
+                    rounds,
                     &plan,
                     ChaosRouting::Detour,
                 ))
@@ -794,12 +760,7 @@ fn chaos_metrics(
         let guests: Vec<(&Workload, &Placement)> =
             placements.iter().map(|p| (&neighbor, p)).collect();
         let composed = multi_tenant(host_nodes, &guests).expect("rotated tenants stay on the host");
-        simulate(
-            network,
-            &composed,
-            &Placement::identity(host_nodes),
-            spec.rounds,
-        )
+        simulate(network, &composed, &Placement::identity(host_nodes), rounds)
     };
     let solo_cycles = compose(1).cycles;
     let mut tenant_counts = chaos_spec.tenants.clone();
@@ -825,42 +786,80 @@ fn chaos_metrics(
     }
 }
 
-/// Runs the optimizer stage of one trial: refine the constructive placement
-/// under the plan's objective with `optim_spec.shards` independently-seeded
-/// annealing walks (seeded from the trial seed, so the stage is a pure
-/// function of the spec and bit-identical for any worker count), then
-/// re-measure the winning refined embedding with the same independent sweeps
-/// used for the constructive one. Also returns the refined placement, so the
-/// chaos stage can degrade it alongside the constructive one.
-fn optimize_trial(
-    spec: &TrialSpec,
+/// A sharded annealing search's winning table, re-measured with the same
+/// independent `verify`/`congestion` sweeps as the constructive embedding.
+struct Annealed {
+    sharded: ShardedOutcome,
+    winner_seed: u64,
+    verification: VerificationReport,
+    congestion: CongestionReport,
+}
+
+/// The annealing shared by the optimize and wirelength stages: runs
+/// `shards` walks of `steps` moves over `embedding`'s table, each with an
+/// objective from `factory`, and re-measures the winner. The base seed is
+/// the trial seed mixed with the stage's `salt`, which decorrelates the
+/// stage's walks from the random-workload draws and from the other stage;
+/// per-shard seeds derive from it via `optim::parallel::shard_seed`, so the
+/// stage is a pure function of the spec and bit-identical for any worker
+/// count.
+fn anneal<O, F>(
+    spec: &TrialSpec<'_>,
     embedding: &Embedding,
-    optim_spec: OptimSpec,
-) -> embeddings::error::Result<(OptimizedMetrics, Placement)> {
+    salt: u64,
+    steps: u64,
+    shards: u32,
+    strategy: ShardStrategy,
+    factory: F,
+) -> embeddings::error::Result<Annealed>
+where
+    O: Objective,
+    F: Fn() -> embeddings::error::Result<O> + Sync,
+{
     let config = ShardedConfig {
         base: OptimizerConfig {
-            // Decorrelate the optimizer walks from the random-workload draws
-            // that also consume the trial seed; per-shard seeds derive from
-            // this base via `optim::parallel::shard_seed`.
-            seed: crate::executor::splitmix64(spec.seed ^ 0x0971_a71e_5eed_c0de),
-            steps: optim_spec.steps,
+            seed: splitmix64(spec.seed ^ salt),
+            steps,
             ..OptimizerConfig::default()
         },
-        shards: optim_spec.shards,
-        strategy: if optim_spec.portfolio {
-            ShardStrategy::Portfolio
-        } else {
-            ShardStrategy::Restarts
-        },
+        shards,
+        strategy,
         // Shards run sequentially inside each trial: the executor already
         // parallelizes across trials (spawning shard threads on top would
         // oversubscribe the cores and pay a scope spawn per trial), and the
         // result is worker-count invariant either way.
         workers: 1,
     };
+    let sharded = optimize_sharded(embedding, factory, &config)?;
+    let verification = verify_sequential(&sharded.outcome.embedding);
+    let congestion = congestion_sequential(&sharded.outcome.embedding)?;
+    let winner_seed = sharded.shards[sharded.winner as usize].seed;
+    Ok(Annealed {
+        sharded,
+        winner_seed,
+        verification,
+        congestion,
+    })
+}
+
+/// Runs the optimizer stage of one trial: refine the constructive placement
+/// under the plan's objective with `optim_spec.shards` annealing walks (see
+/// [`anneal`]) and re-measure the winning refined embedding. Also returns
+/// the refined placement, so the chaos stage can degrade it alongside the
+/// constructive one.
+fn optimize_trial(
+    spec: &TrialSpec<'_>,
+    embedding: &Embedding,
+    optim_spec: OptimSpec,
+) -> embeddings::error::Result<(OptimizedMetrics, Placement)> {
+    let strategy = if optim_spec.portfolio {
+        ShardStrategy::Portfolio
+    } else {
+        ShardStrategy::Restarts
+    };
     // One factory for all three objective kinds: each shard builds its own
-    // boxed objective on its worker thread (objectives carry mutable
-    // incremental state and must never be shared across walks).
+    // boxed objective (objectives carry mutable incremental state and must
+    // never be shared across walks).
     let factory = || -> embeddings::error::Result<Box<dyn Objective>> {
         Ok(match optim_spec.objective {
             ObjectiveKind::Congestion => {
@@ -873,7 +872,7 @@ fn optimize_trial(
                 MakespanObjective::new(
                     Network::new(spec.host.clone()),
                     Workload::from_task_graph(&spec.guest),
-                    spec.rounds.max(1),
+                    spec.plan.rounds.max(1),
                 )
                 .map_err(|e| embeddings::EmbeddingError::Unsupported {
                     details: e.to_string(),
@@ -881,21 +880,26 @@ fn optimize_trial(
             ),
         })
     };
-    let sharded: ShardedOutcome = optimize_sharded(embedding, factory, &config)?;
-    let outcome = &sharded.outcome;
-    let verification = verify_sequential(&outcome.embedding);
-    let congestion = congestion_sequential(&outcome.embedding)?;
-    let winner = &sharded.shards[sharded.winner as usize];
-    let placement = Placement::from_embedding(&outcome.embedding);
+    let annealed = anneal(
+        spec,
+        embedding,
+        0x0971_a71e_5eed_c0de,
+        optim_spec.steps,
+        optim_spec.shards,
+        strategy,
+        factory,
+    )?;
+    let report = &annealed.sharded.outcome.report;
     let metrics = OptimizedMetrics {
-        objective: outcome.report.objective,
-        steps: outcome.report.steps,
-        accepted: outcome.report.accepted,
-        improvements: outcome.report.improvements,
+        objective: report.objective,
+        steps: report.steps,
+        accepted: report.accepted,
+        improvements: report.improvements,
         shards: optim_spec.shards.max(1),
-        winner_shard: sharded.winner,
-        winner_seed: winner.seed,
-        shard_reports: sharded
+        winner_shard: annealed.sharded.winner,
+        winner_seed: annealed.winner_seed,
+        shard_reports: annealed
+            .sharded
             .shards
             .iter()
             .map(|s| ShardSummary {
@@ -908,62 +912,51 @@ fn optimize_trial(
                 improvements: s.report.improvements,
             })
             .collect(),
-        max_congestion: congestion.max_congestion,
-        average_congestion: congestion.average_congestion,
-        measured_dilation: verification.dilation,
-        average_dilation: verification.average_dilation,
-        injective: verification.injective,
+        max_congestion: annealed.congestion.max_congestion,
+        average_congestion: annealed.congestion.average_congestion,
+        measured_dilation: annealed.verification.dilation,
+        average_dilation: annealed.verification.average_dilation,
+        injective: annealed.verification.injective,
     };
-    Ok((metrics, placement))
+    Ok((
+        metrics,
+        Placement::from_embedding(&annealed.sharded.outcome.embedding),
+    ))
 }
 
 /// Runs the wirelength stage of one trial: anneal the constructive placement
 /// under the unit-weight [`WirelengthObjective`] with `wl_spec.shards`
-/// independently-seeded walks, re-measure the winner with the same
-/// `verify`/`congestion` sweeps used everywhere else, and put both
-/// measurements next to Tang's exact analytic minimum. Like the optimizer
-/// stage, everything is a pure function of the spec (its seed decorrelates
-/// from the optimizer and workload draws via a distinct constant), so
-/// records stay bit-identical for any worker count.
+/// walks (see [`anneal`]), re-measure the winner, and put both measurements
+/// next to Tang's exact analytic minimum.
 fn wirelength_trial(
-    spec: &TrialSpec,
+    spec: &TrialSpec<'_>,
     embedding: &Embedding,
     constructive_wirelength: u64,
     wl_spec: WirelengthSpec,
 ) -> embeddings::error::Result<WirelengthMetrics> {
     let bound = wirelength_lower_bound(&spec.guest, &spec.host)?;
-    let config = ShardedConfig {
-        base: OptimizerConfig {
-            seed: crate::executor::splitmix64(spec.seed ^ 0x7a96_2023_0d1e_57a1),
-            steps: wl_spec.steps,
-            ..OptimizerConfig::default()
-        },
-        shards: wl_spec.shards,
-        // The wirelength stage stays a pure restart race (Table 11 compares
-        // seeds, not styles); sequential shards for the same reason as
-        // `optimize_trial`: the executor parallelizes across trials.
-        strategy: ShardStrategy::Restarts,
-        workers: 1,
-    };
-    let factory = || -> embeddings::error::Result<Box<dyn Objective>> {
-        Ok(Box::new(WirelengthObjective::new(&spec.guest, &spec.host)?))
-    };
-    let sharded: ShardedOutcome = optimize_sharded(embedding, factory, &config)?;
-    let refined = &sharded.outcome.embedding;
-    let verification = verify_sequential(refined);
-    let congestion = congestion_sequential(refined)?;
-    let winner = &sharded.shards[sharded.winner as usize];
+    // The wirelength stage stays a pure restart race: Table 11 compares
+    // seeds, not styles.
+    let annealed = anneal(
+        spec,
+        embedding,
+        0x7a96_2023_0d1e_57a1,
+        wl_spec.steps,
+        wl_spec.shards,
+        ShardStrategy::Restarts,
+        || WirelengthObjective::new(&spec.guest, &spec.host),
+    )?;
     Ok(WirelengthMetrics {
         steps: wl_spec.steps,
         shards: wl_spec.shards.max(1),
-        winner_shard: sharded.winner,
-        winner_seed: winner.seed,
+        winner_shard: annealed.sharded.winner,
+        winner_seed: annealed.winner_seed,
         constructive: constructive_wirelength,
         // DOR routes are shortest paths, so the congestion sweep's total
         // path length *is* the refined table's wirelength.
-        optimized: congestion.total_path_length,
+        optimized: annealed.congestion.total_path_length,
         bound,
-        injective: verification.injective,
+        injective: annealed.verification.injective,
     })
 }
 
@@ -976,14 +969,13 @@ mod tests {
         Shape::new(radices.to_vec()).unwrap()
     }
 
-    fn spec(guest: Grid, host: Grid) -> TrialSpec {
-        TrialSpec {
-            id: 0,
-            family: "test",
-            guest,
-            host,
-            seed: 42,
+    /// A stage-free plan running the neighbor and tornado workloads.
+    fn plan() -> SweepPlan {
+        SweepPlan {
+            name: "test".into(),
+            seed: 0,
             rounds: 1,
+            families: Vec::new(),
             workloads: vec![WorkloadSpec::Neighbor, WorkloadSpec::Tornado],
             optimize: None,
             wirelength: None,
@@ -991,9 +983,21 @@ mod tests {
         }
     }
 
+    fn spec(plan: &SweepPlan, guest: Grid, host: Grid) -> TrialSpec<'_> {
+        TrialSpec {
+            id: 0,
+            family: "test",
+            guest,
+            host,
+            seed: 42,
+            plan,
+        }
+    }
+
     #[test]
     fn supported_trial_measures_everything() {
         let record = run_trial(&spec(
+            &plan(),
             Grid::ring(24).unwrap(),
             Grid::mesh(shape(&[4, 2, 3])),
         ));
@@ -1017,6 +1021,7 @@ mod tests {
     #[test]
     fn unsupported_trial_records_the_reason() {
         let record = run_trial(&spec(
+            &plan(),
             Grid::mesh(shape(&[4, 9])),
             Grid::mesh(shape(&[6, 6])),
         ));
@@ -1036,6 +1041,7 @@ mod tests {
     #[test]
     fn json_lines_are_flat_and_complete() {
         let record = run_trial(&spec(
+            &plan(),
             Grid::torus(shape(&[4, 6])),
             Grid::mesh(shape(&[2, 2, 2, 3])),
         ));
@@ -1061,7 +1067,7 @@ mod tests {
         // whose rebuilt embedding is the trial's mapping, node for node.
         let guest = Grid::torus(shape(&[4, 2, 3]));
         let host = Grid::mesh(shape(&[4, 6]));
-        let record = run_trial(&spec(guest.clone(), host.clone()));
+        let record = run_trial(&spec(&plan(), guest.clone(), host.clone()));
         let TrialOutcome::Supported(metrics) = &record.outcome else {
             panic!("expected a supported trial");
         };
@@ -1080,18 +1086,19 @@ mod tests {
 
     #[test]
     fn chaos_rows_measure_degraded_operation() {
-        let mut spec = spec(Grid::torus(shape(&[4, 4])), Grid::torus(shape(&[4, 4])));
-        spec.chaos = Some(ChaosSpec {
+        let mut plan = plan();
+        plan.chaos = Some(ChaosSpec {
             loss_percents: vec![50, 10], // unsorted on purpose
             tenants: vec![2],
         });
-        spec.optimize = Some(OptimSpec {
+        plan.optimize = Some(OptimSpec {
             objective: ObjectiveKind::Congestion,
             steps: 50,
             shards: 1,
             portfolio: false,
         });
-        let record = run_trial(&spec);
+        let torus = Grid::torus(shape(&[4, 4]));
+        let record = run_trial(&spec(&plan, torus.clone(), torus));
         let metrics = record.metrics().expect("supported");
         let chaos = metrics.chaos.as_ref().expect("chaos stage ran");
 

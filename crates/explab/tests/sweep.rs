@@ -345,3 +345,26 @@ fn parsed_plan_files_run_end_to_end() {
         .count();
     assert_eq!(with_alltoall, outcome.supported());
 }
+
+/// FNV-1a, 64-bit: a hash whose output is fixed by its definition, unlike
+/// `DefaultHasher`, which may change between Rust releases.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn jsonl_matches_its_pinned_fingerprint() {
+    // The EXPERIMENTS.md drift check covers only the rendered tables; this
+    // pins every JSONL-only field too (`shard_reports`, `delivered_fraction`,
+    // `plan`, `chain.steps`, …). A refactor that changes any byte of the
+    // records fails here. If a change to the records is intended, update
+    // the constants and say why in CHANGES.md.
+    let smoke = run(&SweepPlan::builtin("smoke").unwrap(), 2).to_jsonl();
+    assert_eq!(fnv1a64(smoke.as_bytes()), 0x5201_7d01_2457_b98d);
+    let all_keys = SweepPlan::parse(include_str!("../../../plans/all_keys.plan")).unwrap();
+    let all_keys = run(&all_keys, 2).to_jsonl();
+    assert_eq!(all_keys.lines().count(), 27);
+    assert_eq!(fnv1a64(all_keys.as_bytes()), 0x103e_9353_f9d6_1b1e);
+}
